@@ -34,7 +34,8 @@ def save(result, out):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results")
-    ap.add_argument("--workers", type=int, default=2)
+    ap.add_argument("--workers", type=int, default=2,
+                    help="processes that Monte Carlo chunks are spread over")
     ap.add_argument("--quick", action="store_true", help="smaller MC runs")
     args = ap.parse_args(argv)
     out = Path(args.out)
@@ -52,7 +53,7 @@ def main(argv=None):
         log(f"eigenvalue scaling: {name}")
         res = ex.run_eigenvalue_scaling_experiment(jl.preset(name), deltas,
                                                    grid_factor=factor,
-                                                   prefactor_delta=1e-4, workers=w)
+                                                   prefactor_delta=1e-4)
         res.meta["csv"] = f"{res.name}-{name}.csv"
         ex.write_rows_csv(res.rows, out / f"{res.name}-{name}.csv")
         summary[f"eigenvalue-{name}"] = ex.summary_dict(res)
@@ -67,21 +68,18 @@ def main(argv=None):
 
     log("boundary flux: interval a=2 V=3 and annulus")
     res = ex.run_boundary_flux_experiment(jl.preset("interval-flux-a2v3"),
-                                          (1e-3, 1e-4, 1e-5), grid_factor=0.04,
-                                          workers=w)
+                                          (1e-3, 1e-4, 1e-5), grid_factor=0.04)
     ex.write_rows_csv(res.rows, out / "boundary-flux-interval.csv")
     summary["flux-interval"] = ex.summary_dict(res)
     res = ex.run_boundary_flux_experiment(jl.preset("annulus-flux"),
-                                          (1e-3, 10**-3.5, 1e-4), grid_factor=0.05,
-                                          workers=w)
+                                          (1e-3, 10**-3.5, 1e-4), grid_factor=0.05)
     ex.write_rows_csv(res.rows, out / "boundary-flux-annulus.csv")
     summary["flux-annulus"] = ex.summary_dict(res)
 
     log("interior decay: interval-k0-uniform")
     res = ex.run_interior_decay_experiment(jl.preset("interval-k0-uniform"),
                                            (1e-2, 1e-3, 1e-4), grid_factor=0.05,
-                                           expected_slope=-1 / math.sqrt(2),
-                                           workers=w)
+                                           expected_slope=-1 / math.sqrt(2))
     save(res, out)
     summary["decay"] = ex.summary_dict(res)
 
@@ -99,8 +97,7 @@ def main(argv=None):
         log(f"  {name}: {rep.detail} -> {'PASS' if rep.passed else 'FAIL'}")
 
     log("vanishing-intensity probe, m = 1, 2, 3")
-    results, probe_summary = ex.run_probe_suite(lambda m: jl.preset(f"probe-Vm{m}"),
-                                                workers=w)
+    results, probe_summary = ex.run_probe_suite(lambda m: jl.preset(f"probe-Vm{m}"))
     for m, r in results.items():
         ex.write_rows_csv(r.rows, out / f"probe-m{m}.csv")
     summary["probe"] = {str(k): v for k, v in probe_summary.items()}

@@ -29,7 +29,7 @@ def _load_spec(args):
 
 
 def _load_spec_and_doc(args):
-    """Problem plus the raw config document (for experiment/solver/mc sections)."""
+    """Problem plus the raw config document (for the experiment and mc sections)."""
     if args.preset and args.config:
         raise JumplabError("pass either --preset or --config, not both")
     if args.preset:
@@ -77,24 +77,15 @@ def cmd_theory(args):
     return 0
 
 
-def _solver_options(doc):
-    section = doc.get("solver", {})
-    if not section:
-        return None
-    return fdm.SolverOptions(method=section.get("method", "direct"),
-                             rtol=section.get("rtol", 1e-12))
-
-
 def cmd_solve(args):
-    spec, doc = _load_spec_and_doc(args)
+    spec = _load_spec(args)
     spec.validate()
     delta = _parse_deltas(args.delta)[0]
     grid = _grid(spec, args, delta)
-    options = _solver_options(doc)
     if args.quantity == "u":
-        sol = fdm.solve_no_jump_prob(delta, spec.coeffs, grid, options=options)
+        sol = fdm.solve_no_jump_prob(delta, spec.coeffs, grid)
     else:
-        sol = fdm.solve_exit_functional(delta, spec.coeffs, grid, options=options)
+        sol = fdm.solve_exit_functional(delta, spec.coeffs, grid)
     out = _outdir(args)
     sol.to_csv(out / f"{args.quantity}_grid.csv")
     x0 = spec.start_point()
@@ -107,12 +98,11 @@ def cmd_solve(args):
 
 
 def cmd_eigen(args):
-    spec, doc = _load_spec_and_doc(args)
+    spec = _load_spec(args)
     spec.validate()
     delta = _parse_deltas(args.delta)[0]
     grid = _grid(spec, args, delta)
-    res = fdm.principal_eigenvalue(delta, spec.coeffs, grid,
-                                   options=_solver_options(doc))
+    res = fdm.principal_eigenvalue(delta, spec.coeffs, grid)
     out = _outdir(args)
     _dump_json({"delta": delta, "lambda0": res.lambda0, "iterations": res.iterations,
                 "residual": res.residual, "n_nodes": grid.n_nodes},
@@ -175,14 +165,11 @@ def cmd_sweep(args):
     if kind == "exit-law":
         result = experiments.run_exit_law_experiment(spec, deltas, workers=args.workers)
     elif kind == "eigenvalue":
-        result = experiments.run_eigenvalue_scaling_experiment(spec, deltas,
-                                                               workers=args.workers)
+        result = experiments.run_eigenvalue_scaling_experiment(spec, deltas)
     elif kind == "flux":
-        result = experiments.run_boundary_flux_experiment(spec, deltas,
-                                                          workers=args.workers)
+        result = experiments.run_boundary_flux_experiment(spec, deltas)
     elif kind == "decay":
-        result = experiments.run_interior_decay_experiment(spec, deltas,
-                                                           workers=args.workers)
+        result = experiments.run_interior_decay_experiment(spec, deltas)
     else:
         raise JumplabError(f"unknown experiment {kind!r}")
     out = _outdir(args)
@@ -197,7 +184,7 @@ def cmd_probe(args):
     ms = [int(t) for t in args.m.split(",")]
     deltas = _parse_deltas(args.delta) if args.delta else list(experiments.DEFAULT_DELTAS)
     results, summary = experiments.run_probe_suite(
-        lambda m: preset(f"probe-Vm{m}"), ms=ms, deltas=deltas, workers=args.workers)
+        lambda m: preset(f"probe-Vm{m}"), ms=ms, deltas=deltas)
     out = _outdir(args)
     for m, res in results.items():
         experiments.write_rows_csv(res.rows, out / f"probe_m{m}.csv")
@@ -243,7 +230,8 @@ def build_parser():
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int, default=1,
+                        help="processes that Monte Carlo chunks are spread over")
         sp.add_argument("--grid-n", type=int, dest="grid_n",
                         help="nodes per axis (default: resolve the boundary layer)")
         sp.add_argument("--grid-angular", type=int, dest="grid_angular", default=64)

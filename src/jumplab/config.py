@@ -1,8 +1,8 @@
 """JSON configuration documents.
 
 Sections: domain, coefficients (with the builtin field grammar and the
-declared vanishing order k), and optional experiment / solver / mc sections
-that the CLI forwards.  The field grammar:
+declared vanishing order k), and optional experiment / mc sections that the
+CLI forwards.  The field grammar:
 
     1.5                               constant
     {"poly": {"2": 30.0, "3": -60.0}}           exponent keys "i" or "i,j"
@@ -58,37 +58,44 @@ def parse_field(node, dim, domain=None):
     if not isinstance(node, dict) or len(node) != 1:
         raise ConfigError(f"field spec must be a number or a one-key object, got {node!r}")
     (tag, body), = node.items()
-    if tag == "const":
-        return const(dim, float(body))
-    if tag == "poly":
-        coeffs = {_parse_exponent_key(k, dim): float(v) for k, v in body.items()}
-        return PolyField.from_dict(dim, coeffs)
-    if tag == "trig":
-        return TrigWave.make(dim, body.get("fn", "cos"), body["freq"],
-                             phase=body.get("phase", 0.0), amp=body.get("amp", 1.0))
-    if tag == "dist_power":
-        if domain is None:
-            raise ConfigError("dist_power fields need a domain")
-        factor = parse_field(body.get("factor", 1.0), dim, domain)
-        return DistPowerField(domain, int(body["m"]), factor)
-    if tag == "sum":
-        return LinearCombo(tuple((1.0, parse_field(t, dim, domain)) for t in body))
-    if tag == "scale":
-        return LinearCombo(((float(body["by"]), parse_field(body["field"], dim, domain)),))
+    try:
+        if tag == "const":
+            return const(dim, float(body))
+        if tag == "poly":
+            coeffs = {_parse_exponent_key(k, dim): float(v) for k, v in body.items()}
+            return PolyField.from_dict(dim, coeffs)
+        if tag == "trig":
+            return TrigWave.make(dim, body.get("fn", "cos"), body["freq"],
+                                 phase=body.get("phase", 0.0), amp=body.get("amp", 1.0))
+        if tag == "dist_power":
+            if domain is None:
+                raise ConfigError("dist_power fields need a domain")
+            factor = parse_field(body.get("factor", 1.0), dim, domain)
+            return DistPowerField(domain, int(body["m"]), factor)
+        if tag == "sum":
+            if not body:
+                raise ConfigError("a sum field needs at least one term")
+            return LinearCombo(tuple((1.0, parse_field(t, dim, domain)) for t in body))
+        if tag == "scale":
+            return LinearCombo(((float(body["by"]), parse_field(body["field"], dim, domain)),))
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {tag!r} field {body!r}: {exc!r}") from exc
     raise ConfigError(f"unknown field tag {tag!r}")
 
 
 def parse_coefficients(node, domain: Domain, k=None) -> CoefficientSet:
     d = domain.dim
+    if not isinstance(node, dict):
+        raise ConfigError(f"coefficients section must be an object, got {node!r}")
     try:
         k = int(node["k"] if k is None else k)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError("an integer vanishing order 'k' is required "
                           "(top level or in the coefficients section)") from exc
 
     diff = node.get("diffusion", 1.0)
     if isinstance(diff, list):
-        if len(diff) != d or any(len(row) != d for row in diff):
+        if len(diff) != d or any(not isinstance(row, list) or len(row) != d for row in diff):
             raise ConfigError(f"diffusion matrix must be {d}x{d}")
         rows = [[parse_field(e, d, domain) for e in row] for row in diff]
         diffusion = MatrixField.from_entries(rows)
@@ -122,11 +129,14 @@ def parse_coefficients(node, domain: Domain, k=None) -> CoefficientSet:
 
 
 def build_problem(doc) -> ProblemSpec:
-    if "domain" not in doc or "coefficients" not in doc:
+    if not isinstance(doc, dict) or "domain" not in doc or "coefficients" not in doc:
         raise ConfigError("config needs 'domain' and 'coefficients' sections")
     domain = parse_domain(doc["domain"])
     coeffs = parse_coefficients(doc["coefficients"], domain, k=doc.get("k"))
-    x0 = np.asarray(doc["x0"], dtype=float) if "x0" in doc else None
+    try:
+        x0 = np.asarray(doc["x0"], dtype=float) if "x0" in doc else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"x0 must be a list of numbers: {exc}") from exc
     return ProblemSpec(domain=domain, coeffs=coeffs,
                        name=doc.get("name"), x0=x0)
 

@@ -1,16 +1,16 @@
 """Experiment runners: delta sweeps, cross-method comparisons, reports.
 
 Every experiment validates its problem first, runs the solvers over a delta
-list (sweep points are independent jobs on a small thread pool, merged in
-order), and returns a SweepResult: tabular rows, an optional power-law fit,
-and named pass/fail checks.  CSV and JSON writers format floats with repr,
-so reruns with a fixed configuration are byte-identical.
+list in order, and returns a SweepResult: tabular rows, an optional power-law
+fit, and named pass/fail checks.  ``workers`` exists only where a Monte Carlo
+ensemble runs, and spreads its chunks over processes.  CSV and JSON writers
+format floats with repr, so reruns with a fixed configuration are
+byte-identical at any worker count.
 """
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,13 +104,6 @@ def _grid_for(spec: ProblemSpec, delta, factor, cap=400001, n_angular=64):
     return fdm.build_grid(spec.domain, n, n_angular=n_angular)
 
 
-def _sweep(fn, deltas, workers):
-    if workers <= 1 or len(deltas) == 1:
-        return [fn(d) for d in deltas]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, deltas))
-
-
 def _rel(a, b):
     return abs(a - b) / abs(b)
 
@@ -148,7 +141,7 @@ def run_exit_law_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS, x0=None,
         sol = fdm.solve_exit_functional(d, spec.coeffs, grid, f=f)
         return sol.at(x0), sol.at(x0_alt)
 
-    vals = _sweep(solve_point, deltas, workers)
+    vals = [solve_point(d) for d in deltas]
     rows = [SweepRow(d, "fdm", "phi", v[0]) for d, v in zip(deltas, vals)]
 
     cfg = mc_config or mc.SimConfig(delta=deltas[0], dt=1e-3, n_paths=20000,
@@ -197,8 +190,8 @@ def _horizon_from_theory(spec: ProblemSpec, delta):
 
 def run_eigenvalue_scaling_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
                                       grid_factor=0.03, prefactor_delta=None,
-                                      exponent_window=None, prefactor_rtol=None,
-                                      workers=1) -> SweepResult:
+                                      exponent_window=None,
+                                      prefactor_rtol=None) -> SweepResult:
     """Decay-rate scaling lambda0 ~ C * delta^{(k+1)/2} against the limit formulas.
 
     The scaling is a delta -> 0 limit, and lambda0 approaches it with a
@@ -233,7 +226,7 @@ def run_eigenvalue_scaling_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
         grid = _grid_for(spec, d, grid_factor)
         return fdm.principal_eigenvalue(d, spec.coeffs, grid).lambda0
 
-    lams = _sweep(lam, deltas, workers)
+    lams = [lam(d) for d in deltas]
     rows = [SweepRow(d, "fdm", "lambda0", v) for d, v in zip(deltas, lams)]
     fit = fit_power_law(deltas, lams)
 
@@ -264,8 +257,7 @@ def run_eigenvalue_scaling_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
 
 def run_boundary_flux_experiment(spec: ProblemSpec, deltas=(1e-3, 1e-4, 1e-5),
                                  grid_factor=0.04, n_angular=64,
-                                 value_rtol=0.03, uniformity_tol=1e-6,
-                                 workers=1) -> SweepResult:
+                                 value_rtol=0.03, uniformity_tol=1e-6) -> SweepResult:
     """Scaled boundary flux of the no-jump problem against -sqrt(2 V (n.an)).
 
     Rows carry sqrt(delta) * (n . a grad u) at the first boundary node; the
@@ -281,7 +273,7 @@ def run_boundary_flux_experiment(spec: ProblemSpec, deltas=(1e-3, 1e-4, 1e-5),
         bf = fdm.boundary_flux(u, spec.coeffs)
         return bf
 
-    results = _sweep(fluxes, deltas, workers)
+    results = [fluxes(d) for d in deltas]
     rows = [SweepRow(d, "fdm", "flux", math.sqrt(d) * bf.values[0])
             for d, bf in zip(deltas, results)]
 
@@ -315,7 +307,7 @@ def run_boundary_flux_experiment(spec: ProblemSpec, deltas=(1e-3, 1e-4, 1e-5),
 
 def run_interior_decay_experiment(spec: ProblemSpec, deltas=(1e-2, 1e-3, 1e-4),
                                   grid_factor=0.05, expected_slope=None,
-                                  slope_rtol=0.05, workers=1) -> SweepResult:
+                                  slope_rtol=0.05) -> SweepResult:
     """Decay of the no-jump probability at the domain center.
 
     Fits log u(center) against delta^{-1/2}; the slope is negative, and for
@@ -330,7 +322,7 @@ def run_interior_decay_experiment(spec: ProblemSpec, deltas=(1e-2, 1e-3, 1e-4),
         u = fdm.solve_no_jump_prob(d, spec.coeffs, grid)
         return u.at(center)
 
-    vals = _sweep(ucenter, deltas, workers)
+    vals = [ucenter(d) for d in deltas]
     rows = [SweepRow(d, "fdm", "u-center", v) for d, v in zip(deltas, vals)]
     slope, _, r2 = fit_slope([d ** -0.5 for d in deltas], np.log(vals))
     checks = [Check("decay_slope_negative", slope < 0.0, slope, 0.0, 0.0,
@@ -348,7 +340,7 @@ def run_interior_decay_experiment(spec: ProblemSpec, deltas=(1e-2, 1e-3, 1e-4),
 
 
 def run_vanishing_intensity_probe(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
-                                  grid_factor=0.05, workers=1) -> SweepResult:
+                                  grid_factor=0.05) -> SweepResult:
     """Decay-rate order when the intensity vanishes on the boundary.
 
     Emits the fitted order with its CI; deliberately asserts nothing about
@@ -361,7 +353,7 @@ def run_vanishing_intensity_probe(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
         grid = _grid_for(spec, d, grid_factor)
         return fdm.principal_eigenvalue(d, spec.coeffs, grid).lambda0
 
-    lams = _sweep(lam, deltas, workers)
+    lams = [lam(d) for d in deltas]
     rows = [SweepRow(d, "fdm", "lambda0", v) for d, v in zip(deltas, lams)]
     fit = fit_power_law(deltas, lams)
     return SweepResult("vanishing-intensity-probe", rows, [], fit=fit,
@@ -370,7 +362,7 @@ def run_vanishing_intensity_probe(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
 
 
 def run_probe_suite(make_spec, ms=(1, 2, 3), deltas=DEFAULT_DELTAS,
-                    grid_factor=0.05, workers=1):
+                    grid_factor=0.05):
     """Probe several vanishing orders of the intensity; record the ordering.
 
     ``make_spec`` maps the order m to a ProblemSpec.  Returns (per-m results,
@@ -379,8 +371,7 @@ def run_probe_suite(make_spec, ms=(1, 2, 3), deltas=DEFAULT_DELTAS,
     results = {}
     for m in ms:
         results[m] = run_vanishing_intensity_probe(make_spec(m), deltas=deltas,
-                                                   grid_factor=grid_factor,
-                                                   workers=workers)
+                                                   grid_factor=grid_factor)
     summary = {
         "alphas": {m: results[m].meta["alpha"] for m in ms},
         "alpha_cis": {m: results[m].meta["alpha_ci"] for m in ms},

@@ -1,14 +1,19 @@
 """Finite-difference discretization and solvers.
 
-The local part delta*G - diag(V) is assembled in conservative flux form on a
-tensor grid (cartesian for interval/rectangle, polar for disk/annulus).  The
-redistribution term is a rank-one coupling v w^T: the intensity column times
-the mu-quadrature row.  Dirichlet solves and the inverse-power eigenvalue
-iteration both reuse one sparse factorization of the local part through a
-rank-one update identity.
+``build_grid`` alone knows the shape of the domain.  It returns a tensor grid
+in grid coordinates (cartesian for the box family: interval, rectangle;
+(r, theta) for the polar family: disk, annulus) with per-axis periodicity,
+the axis ends that carry Dirichlet data, and the map to cartesian points; a
+non-periodic end without Dirichlet data is reflecting (the excised core ring
+of a disk).  Assembly, interpolation and the boundary flux are written once
+for that model, axis by axis.
 
-Grid resolution must resolve the boundary layer of width ~ sqrt(delta a / V);
-assembly enforces h <= 0.5 * sqrt(delta a_min / V_max) unless overridden.
+The redistribution term is a rank-one coupling v w^T (the intensity column
+times the mu-quadrature row); Dirichlet solves and the inverse-power
+eigenvalue iteration reuse one sparse LU factorization of the local part
+through a rank-one update identity.  Assembly enforces h <= 0.5 *
+sqrt(delta a_min / V_max), which resolves the boundary layer of width
+~ sqrt(delta a / V), along every axis with Dirichlet ends unless overridden.
 """
 from __future__ import annotations
 
@@ -29,18 +34,60 @@ from .geometry import Domain
 DISK_CORE_FRACTION = 1e-3
 
 
+class _Cartesian:
+    """Grid coordinates that are the cartesian ones."""
+
+    def to_cartesian(self, xi):
+        return xi
+
+    from_cartesian = to_cartesian
+
+    def scales(self, xi):
+        """Scale factors |d x / d xi_k|, (n, d) or broadcastable (1, d)."""
+        return np.ones((1, xi.shape[1]))
+
+    def units(self, xi):
+        """Unit axis vectors e_k as rows, (n, d, d) or broadcastable (1, d, d)."""
+        return np.eye(xi.shape[1])[None]
+
+
+@dataclass(frozen=True)
+class _Polar:
+    """(r, theta) about a centre: scale factors (1, r), unit vectors (e_r, e_theta)."""
+
+    cx: float
+    cy: float
+
+    def to_cartesian(self, xi):
+        return np.stack([self.cx + xi[:, 0] * np.cos(xi[:, 1]),
+                         self.cy + xi[:, 0] * np.sin(xi[:, 1])], axis=1)
+
+    def from_cartesian(self, x):
+        dx, dy = x[..., 0] - self.cx, x[..., 1] - self.cy
+        return np.stack([np.hypot(dx, dy), np.arctan2(dy, dx) % (2 * math.pi)], axis=-1)
+
+    def scales(self, xi):
+        return np.stack([np.ones(len(xi)), xi[:, 0]], axis=1)
+
+    def units(self, xi):
+        c, s = np.cos(xi[:, 1]), np.sin(xi[:, 1])
+        return np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
+
+
 @dataclass(frozen=True)
 class Grid:
     domain: Domain
-    kind: str                 # interval | rectangle | polar
+    family: str               # box | polar
     axes: tuple               # node arrays per axis ((x,) | (x, y) | (r, theta))
     shape: tuple
+    periodic: tuple           # per axis
+    dirichlet: tuple          # per axis: the ends (0 low, -1 high) that carry Dirichlet data
+    coords: object            # grid coordinates <-> cartesian, scale factors, unit vectors
+    coordinates: np.ndarray   # (N, d) grid coordinates
     points: np.ndarray        # (N, d) cartesian coordinates
     interior: np.ndarray      # flat ids
     boundary: np.ndarray      # flat ids
-    boundary_normals: np.ndarray
     cell_weights: np.ndarray  # (N,) trapezoid volume weights
-    has_core_ring: bool = False  # polar disk: ring 0 is a reflecting closure
 
     @property
     def n_nodes(self):
@@ -50,78 +97,70 @@ class Grid:
     def spacing(self):
         return tuple(float(ax[1] - ax[0]) for ax in self.axes)
 
+    @property
+    def boundary_normals(self):
+        """Unit inward normals at the boundary nodes."""
+        return self.domain.inward_normal(self.points[self.boundary])
+
+    def step(self, ids, index, axis, shift):
+        """Ids ``shift`` nodes along ``axis`` from ``ids`` (at ``index`` on it), wrapping
+        around periodic axes and stopping at the end nodes of the others."""
+        n = self.shape[axis]
+        moved = np.mod(index + shift, n) if self.periodic[axis] else np.clip(index + shift, 0, n - 1)
+        return ids + (moved - index) * math.prod(self.shape[axis + 1:])
+
+
+def _trapezoid(x):
+    w = np.full(len(x), x[1] - x[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
 
 def build_grid(domain: Domain, n, n_angular=None) -> Grid:
     """Tensor grid with ``n`` nodes per principal axis.
 
-    Polar grids take ``n`` radial nodes and ``n_angular`` angular nodes
-    (default 64).  The disk excises a small core with a reflecting closure.
+    Box grids take ``n`` or a per-axis tuple.  Polar grids take ``n`` radial
+    and ``n_angular`` angular nodes (default 64); the disk excises a small
+    core whose ring is closed by a reflecting face.
     """
-    if domain.kind == "interval":
-        a, b = domain.params
-        n = int(n)
-        if n < 3:
-            raise ValueError("need at least 3 nodes per axis")
-        x = np.linspace(a, b, n)
-        pts = x.reshape(-1, 1)
-        interior = np.arange(1, n - 1)
-        boundary = np.array([0, n - 1])
-        normals = np.array([[1.0], [-1.0]])
-        w = np.full(n, x[1] - x[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return Grid(domain, "interval", (x,), (n,), pts, interior, boundary, normals, w)
-
-    if domain.kind == "rectangle":
-        x0, y0, x1, y1 = domain.params
-        nx, ny = (int(n[0]), int(n[1])) if isinstance(n, (tuple, list)) else (int(n), int(n))
-        if nx < 3 or ny < 3:
-            raise ValueError("need at least 3 nodes per axis")
-        x = np.linspace(x0, x1, nx)
-        y = np.linspace(y0, y1, ny)
-        X, Y = np.meshgrid(x, y, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        on_bdy = (I == 0) | (I == nx - 1) | (J == 0) | (J == ny - 1)
-        boundary = np.flatnonzero(on_bdy.ravel())
-        interior = np.flatnonzero(~on_bdy.ravel())
-        normals = domain.inward_normal(pts[boundary])
-        wx = np.full(nx, x[1] - x[0]); wx[0] *= 0.5; wx[-1] *= 0.5
-        wy = np.full(ny, y[1] - y[0]); wy[0] *= 0.5; wy[-1] *= 0.5
-        w = np.outer(wx, wy).ravel()
-        return Grid(domain, "rectangle", (x, y), (nx, ny), pts, interior, boundary, normals, w)
-
-    # polar grids
-    if domain.kind == "disk":
-        cx, cy, ro = domain.params
-        ri = DISK_CORE_FRACTION * ro
-        core = True
+    if domain.kind in ("interval", "rectangle"):
+        d = len(domain.params) // 2
+        shape = tuple(int(m) for m in n) if isinstance(n, (tuple, list)) else (int(n),) * d
+        if len(shape) != d or min(shape) < 3:
+            raise ValidationError(f"need at least 3 nodes on each of {d} axes, got {shape}")
+        axes = tuple(np.linspace(a, b, m)
+                     for a, b, m in zip(domain.params[:d], domain.params[d:], shape))
+        family, periodic, coords = "box", (False,) * d, _Cartesian()
+        dirichlet = ((0, -1),) * d
+        weights = [_trapezoid(ax) for ax in axes]
     else:
-        cx, cy, ri, ro = domain.params
-        core = False
-    nr = int(n)
-    nth = int(n_angular) if n_angular else 64
-    if nr < 3 or nth < 8:
-        raise ValueError("polar grids need nr >= 3 and n_angular >= 8")
-    r = np.linspace(ri, ro, nr)
-    th = 2 * math.pi * np.arange(nth) / nth
-    R, TH = np.meshgrid(r, th, indexing="ij")
-    pts = np.stack([cx + R.ravel() * np.cos(TH.ravel()),
-                    cy + R.ravel() * np.sin(TH.ravel())], axis=1)
-    ids = np.arange(nr * nth).reshape(nr, nth)
-    if core:
-        boundary = ids[-1].ravel()
-    else:
-        boundary = np.concatenate([ids[0].ravel(), ids[-1].ravel()])
-    mask = np.zeros(nr * nth, dtype=bool)
-    mask[boundary] = True
-    interior = np.flatnonzero(~mask)
-    normals = domain.inward_normal(pts[boundary])
-    dr = r[1] - r[0]
-    wr = np.full(nr, dr); wr[0] *= 0.5; wr[-1] *= 0.5
-    w = np.outer(wr * r, np.full(nth, 2 * math.pi / nth)).ravel()
-    return Grid(domain, "polar", (r, th), (nr, nth), pts, interior, boundary,
-                normals, w, has_core_ring=core)
+        cx, cy, *radii = domain.params
+        inner = domain.kind == "annulus"  # the disk's excised core ring reflects instead
+        ri, ro = radii if inner else (DISK_CORE_FRACTION * radii[0], radii[0])
+        shape = (int(n), int(n_angular) if n_angular else 64)
+        if shape[0] < 3 or shape[1] < 8:
+            raise ValidationError(f"polar grids need nr >= 3 and n_angular >= 8, got {shape}")
+        r = np.linspace(ri, ro, shape[0])
+        axes = (r, 2 * math.pi * np.arange(shape[1]) / shape[1])
+        family, periodic, coords = "polar", (False, True), _Polar(cx, cy)
+        dirichlet = ((0, -1) if inner else (-1,), ())
+        weights = [_trapezoid(r) * r, np.full(shape[1], 2 * math.pi / shape[1])]
+
+    d = len(shape)
+    xi = np.empty(shape + (d,))
+    for k, ax in enumerate(axes):
+        xi[..., k] = ax.reshape((-1,) + (1,) * (d - 1 - k))
+    on_bdy = np.zeros(shape, dtype=bool)
+    for k, ends in enumerate(dirichlet):
+        on_bdy[(slice(None),) * k + (list(ends),)] = True
+    cell_weights = weights[0]
+    for w in weights[1:]:
+        cell_weights = np.multiply.outer(cell_weights, w)
+    xi = xi.reshape(-1, d)
+    return Grid(domain, family, axes, shape, periodic, dirichlet, coords, xi,
+                coords.to_cartesian(xi), np.flatnonzero(~on_bdy), np.flatnonzero(on_bdy),
+                cell_weights.ravel())
 
 
 def layer_scale(coeffs: CoefficientSet, grid: Grid):
@@ -144,16 +183,8 @@ def suggest_resolution(domain: Domain, delta, coeffs: CoefficientSet,
     probe = build_grid(domain, 11, 16)
     amin, vmax = layer_scale(coeffs, probe)
     h = factor * math.sqrt(delta * amin / vmax)
-    if domain.kind == "interval":
-        a, b = domain.params
-        length = b - a
-    elif domain.kind == "rectangle":
-        x0, y0, x1, y1 = domain.params
-        length = max(x1 - x0, y1 - y0)
-    elif domain.kind == "disk":
-        length = domain.params[2] * (1.0 - DISK_CORE_FRACTION)
-    else:
-        length = domain.params[3] - domain.params[2]
+    # boundary layers sit across the axes with Dirichlet ends
+    length = max(ax[-1] - ax[0] for ax, ends in zip(probe.axes, probe.dirichlet) if ends)
     return int(min(cap, max(11, math.ceil(length / h) + 1)))
 
 
@@ -161,7 +192,7 @@ def _check_layer_resolution(delta, coeffs, grid, allow_coarse):
     amin, vmax = layer_scale(coeffs, grid)
     if vmax <= 0:
         return
-    h = grid.spacing[0]  # layer sits along the first (normal) axis
+    h = max(hk for hk, ends in zip(grid.spacing, grid.dirichlet) if ends)
     limit = 0.5 * math.sqrt(delta * amin / vmax)
     if h > limit:
         msg = (f"grid spacing {h:.3e} does not resolve the boundary layer "
@@ -172,158 +203,65 @@ def _check_layer_resolution(delta, coeffs, grid, allow_coarse):
             raise ValidationError(msg + "; pass allow_coarse=True to override")
 
 
-def _eval(fieldobj, pts):
-    return fieldobj.eval(np.atleast_2d(pts), (0,) * pts.shape[-1]) \
-        if pts.ndim > 1 else fieldobj.eval(pts.reshape(-1, 1), (0,))
-
-
 def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False):
     """The sparse local operator delta*G_h - diag(V) over interior nodes.
 
     Returns (A_loc, B_bc): interior-to-interior matrix and the coupling of
-    boundary values into interior rows.  Flux-form second order stencil;
-    midpoint diffusion values by evaluation at face centers; centered drift.
+    boundary values into interior rows.  Per grid axis k: a flux-form second
+    order stencil with a_kk at the face centres times the metric weight
+    J_face / (J h_k,face^2), J the product of the scale factors h (1 on
+    cartesian axes, r_face/r radial, 1/r^2 angular), and a centred drift
+    b . e_k / h_k.  A reflecting axis end closes its face and takes a
+    one-sided drift difference.
     """
     _check_layer_resolution(delta, coeffs, grid, allow_coarse)
-    N = grid.n_nodes
-    rows, cols, vals = [], [], []
+    if grid.family == "polar" and not coeffs.diffusion.is_isotropic():
+        raise ValidationError("polar grids support isotropic diffusion only")
+    d = len(grid.shape)
+    zero = (0,) * d
+    me = grid.interior
+    index, xi = np.unravel_index(me, grid.shape), grid.coordinates[me]
+    pts = grid.coords.to_cartesian(xi)
+    scale = grid.coords.scales(xi)
+    jac = math.prod(scale.T)
+    diag = -coeffs.intensity.eval(pts, zero)
+    entries = []  # (rows, columns, values) next to the diagonal
+    if d == 2 and (a12 := coeffs.diffusion.entry(0, 1)).constant_value() != 0.0:
+        # box grids only (polar diffusion is isotropic): symmetric a12 cross terms
+        # via centered difference of centered differences
+        c = delta * 0.5 / (4 * grid.spacing[0] * grid.spacing[1])
+        at = lambda p, q: me + p * grid.shape[1] + q
+        a = {pq: a12.eval(grid.points[at(*pq)], zero) for pq in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+        for p in (1, -1):
+            for q in (1, -1):
+                entries.append((me, at(p, q), c * p * q * (a[p, 0] + a[0, q])))
 
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v).ravel())
+    bvals = np.stack([c.eval(pts, zero) for c in coeffs.drift.components], axis=1)
+    drift = (np.einsum("...kj,...j->...k", grid.coords.units(xi), bvals) / scale
+             if np.any(bvals) else None)
+    for k, (h, n) in enumerate(zip(grid.spacing, grid.shape)):
+        step = lambda shift: grid.step(me, index[k], k, shift)
+        # +1 (-1) at an interior node on a reflecting low (high) end of axis k
+        wall = 0 if grid.periodic[k] or len(grid.dirichlet[k]) == 2 \
+            else (index[k] == 0).astype(int) - (index[k] == n - 1)
+        a_kk = coeffs.diffusion.entry(k, k)
+        for s in (1, -1):
+            face = xi.copy()
+            face[:, k] += s * h / 2
+            face_scale = grid.coords.scales(face)
+            weight = math.prod(face_scale.T) / (jac * face_scale[:, k] ** 2) * (wall != -s)
+            c = delta * 0.5 * a_kk.eval(grid.coords.to_cartesian(face), zero) * weight / h**2
+            entries.append((me, step(s), c))
+            diag -= c
+        if drift is not None:  # centred; one-sided into the domain at a reflecting end
+            ahead, behind = 1 * (wall >= 0), -1 * (wall <= 0)
+            c = delta * drift[:, k] / ((ahead - behind) * h)
+            entries += [(me, step(ahead), c), (me, step(behind), -c)]
 
-    if grid.kind == "interval":
-        x = grid.axes[0]
-        n = len(x)
-        h = x[1] - x[0]
-        a = coeffs.diffusion.entry(0, 0)
-        amid = a.eval(((x[:-1] + x[1:]) / 2).reshape(-1, 1), (0,))
-        b = coeffs.drift.components[0].eval(x[1:-1].reshape(-1, 1), (0,))
-        i = np.arange(1, n - 1)
-        lo = delta * (0.5 * amid[:-1] / h**2 - b / (2 * h))
-        hi = delta * (0.5 * amid[1:] / h**2 + b / (2 * h))
-        diag = -delta * 0.5 * (amid[:-1] + amid[1:]) / h**2
-        add(i, i - 1, lo)
-        add(i, i + 1, hi)
-        add(i, i, diag)
-
-    elif grid.kind == "rectangle":
-        x, y = grid.axes
-        nx, ny = grid.shape
-        hx, hy = grid.spacing
-        ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-        gid = lambda i, j: i * ny + j
-        me = gid(ii, jj)
-        P = lambda i, j: np.stack([x[i], y[j]], axis=1)
-
-        a11, a22 = coeffs.diffusion.entry(0, 0), coeffs.diffusion.entry(1, 1)
-        a12 = coeffs.diffusion.entry(0, 1)
-        zero2 = (0, 0)
-        # x-direction flux
-        axp = a11.eval(np.stack([(x[ii] + x[ii + 1]) / 2, y[jj]], axis=1), zero2)
-        axm = a11.eval(np.stack([(x[ii] + x[ii - 1]) / 2, y[jj]], axis=1), zero2)
-        add(me, gid(ii + 1, jj), delta * 0.5 * axp / hx**2)
-        add(me, gid(ii - 1, jj), delta * 0.5 * axm / hx**2)
-        add(me, me, -delta * 0.5 * (axp + axm) / hx**2)
-        # y-direction flux
-        ayp = a22.eval(np.stack([x[ii], (y[jj] + y[jj + 1]) / 2], axis=1), zero2)
-        aym = a22.eval(np.stack([x[ii], (y[jj] + y[jj - 1]) / 2], axis=1), zero2)
-        add(me, gid(ii, jj + 1), delta * 0.5 * ayp / hy**2)
-        add(me, gid(ii, jj - 1), delta * 0.5 * aym / hy**2)
-        add(me, me, -delta * 0.5 * (ayp + aym) / hy**2)
-        # cross terms (symmetric a12) via centered difference of centered differences
-        if a12.constant_value() != 0.0:
-            c = delta * 0.5 / (4 * hx * hy)
-            a12_px = a12.eval(P(ii + 1, jj), zero2)
-            a12_mx = a12.eval(P(ii - 1, jj), zero2)
-            a12_py = a12.eval(P(ii, jj + 1), zero2)
-            a12_my = a12.eval(P(ii, jj - 1), zero2)
-            # d_x(a12 d_y phi)
-            add(me, gid(ii + 1, jj + 1), c * a12_px)
-            add(me, gid(ii + 1, jj - 1), -c * a12_px)
-            add(me, gid(ii - 1, jj + 1), -c * a12_mx)
-            add(me, gid(ii - 1, jj - 1), c * a12_mx)
-            # d_y(a12 d_x phi)
-            add(me, gid(ii + 1, jj + 1), c * a12_py)
-            add(me, gid(ii - 1, jj + 1), -c * a12_py)
-            add(me, gid(ii + 1, jj - 1), -c * a12_my)
-            add(me, gid(ii - 1, jj - 1), c * a12_my)
-        # drift
-        pme = P(ii, jj)
-        b1 = coeffs.drift.components[0].eval(pme, zero2)
-        b2 = coeffs.drift.components[1].eval(pme, zero2)
-        if np.any(b1):
-            add(me, gid(ii + 1, jj), delta * b1 / (2 * hx))
-            add(me, gid(ii - 1, jj), -delta * b1 / (2 * hx))
-        if np.any(b2):
-            add(me, gid(ii, jj + 1), delta * b2 / (2 * hy))
-            add(me, gid(ii, jj - 1), -delta * b2 / (2 * hy))
-
-    else:  # polar
-        if not coeffs.diffusion.is_isotropic():
-            raise ValidationError("polar grids support isotropic diffusion only")
-        alpha = coeffs.diffusion.entry(0, 0)
-        r, th = grid.axes
-        nr, nth = grid.shape
-        dr = r[1] - r[0]
-        dth = th[1] - th[0]
-        cx, cy = grid.domain.params[0], grid.domain.params[1]
-        i_lo = 0 if grid.has_core_ring else 1
-        ii, jj = np.meshgrid(np.arange(i_lo, nr - 1), np.arange(nth), indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-        gid = lambda i, j: i * nth + np.mod(j, nth)
-        me = gid(ii, jj)
-        cart = lambda rr, tt: np.stack([cx + rr * np.cos(tt), cy + rr * np.sin(tt)], axis=1)
-        zero2 = (0, 0)
-        ri = r[ii]
-        # radial flux, (1/r) d_r(r alpha d_r u) with face values
-        rp = ri + dr / 2
-        ap = alpha.eval(cart(rp, th[jj]), zero2)
-        cp = delta * 0.5 * rp * ap / (ri * dr**2)
-        add(me, gid(ii + 1, jj), cp)
-        add(me, me, -cp)
-        inner = ii > 0  # ring 0 of a core grid has a reflecting inner face
-        if np.any(inner):
-            rm = ri[inner] - dr / 2
-            am = alpha.eval(cart(rm, th[jj[inner]]), zero2)
-            cm = delta * 0.5 * rm * am / (ri[inner] * dr**2)
-            add(me[inner], gid(ii[inner] - 1, jj[inner]), cm)
-            add(me[inner], me[inner], -cm)
-        # angular flux, (1/r^2) d_th(alpha d_th u), periodic
-        atp = alpha.eval(cart(ri, th[jj] + dth / 2), zero2)
-        atm = alpha.eval(cart(ri, th[jj] - dth / 2), zero2)
-        ct = delta * 0.5 / (ri**2 * dth**2)
-        add(me, gid(ii, jj + 1), ct * atp)
-        add(me, gid(ii, jj - 1), ct * atm)
-        add(me, me, -ct * (atp + atm))
-        # drift in polar frame
-        pme = grid.points[me]
-        bvals = np.stack([c.eval(pme, zero2) for c in coeffs.drift.components], axis=1)
-        if np.any(bvals):
-            ct_, st_ = np.cos(th[jj]), np.sin(th[jj])
-            br = bvals[:, 0] * ct_ + bvals[:, 1] * st_
-            bt = -bvals[:, 0] * st_ + bvals[:, 1] * ct_
-            rad = ii > 0
-            add(me[rad], gid(ii[rad] + 1, jj[rad]), delta * br[rad] / (2 * dr))
-            add(me[rad], gid(ii[rad] - 1, jj[rad]), -delta * br[rad] / (2 * dr))
-            if np.any(~rad):  # forward difference at the core ring
-                add(me[~rad], gid(ii[~rad] + 1, jj[~rad]), delta * br[~rad] / dr)
-                add(me[~rad], me[~rad], -delta * br[~rad] / dr)
-            add(me, gid(ii, jj + 1), delta * bt / (ri * 2 * dth))
-            add(me, gid(ii, jj - 1), -delta * bt / (ri * 2 * dth))
-
-    # -V on the diagonal
-    vint = coeffs.intensity.eval(grid.points[grid.interior], (0,) * grid.points.shape[1])
-    add(grid.interior, grid.interior, -vint)
-
-    M = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N)).tocsr()
-    Mi = M[grid.interior]
-    A_loc = Mi.tocsc()[:, grid.interior].tocsc()
-    B_bc = Mi.tocsc()[:, grid.boundary].tocsr()
-    return A_loc, B_bc
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries, (me, me, diag)))
+    M = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr()
+    Mi = M[grid.interior].tocsc()
+    return Mi[:, grid.interior].tocsc(), Mi[:, grid.boundary].tocsr()
 
 
 def mu_quadrature_weights(coeffs: CoefficientSet, grid: Grid):
@@ -365,35 +303,14 @@ def assemble_operator(delta, coeffs: CoefficientSet, grid: Grid,
     return DiscreteOperator(grid, float(delta), A_loc, B_bc, v, w)
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    method: str = "direct"   # direct | ilu
-    rtol: float = 1e-12
-    max_krylov: int = 2000
-
-
 class _LocalSolver:
-    """Solves A x = rhs with the configured method."""
+    """One sparse LU factorization (``lu``) of the local part."""
 
-    def __init__(self, A, options: SolverOptions):
-        self.options = options
-        if options.method == "direct":
-            self.lu = spla.splu(A.tocsc())
-        elif options.method == "ilu":
-            self.A = A.tocsc()
-            self.ilu = spla.spilu(self.A, drop_tol=1e-5, fill_factor=20)
-            self.M = spla.LinearOperator(A.shape, self.ilu.solve)
-        else:
-            raise ValueError(f"unknown solver method {options.method!r}")
+    def __init__(self, A):
+        self.lu = spla.splu(A.tocsc())
 
     def solve(self, rhs):
-        if self.options.method == "direct":
-            return self.lu.solve(rhs)
-        x, info = spla.bicgstab(self.A, rhs, M=self.M, rtol=self.options.rtol,
-                                atol=0.0, maxiter=self.options.max_krylov)
-        if info != 0:
-            raise SolverError(f"bicgstab failed to reach rtol={self.options.rtol:g} (info={info})")
-        return x
+        return self.lu.solve(rhs)
 
 
 class RankOneSolver:
@@ -406,16 +323,14 @@ class RankOneSolver:
 
     DENOM_TOL = 1e-12
 
-    def __init__(self, A, v, w, options: SolverOptions | None = None):
-        self.options = options or SolverOptions()
-        self.local = _LocalSolver(A, self.options)
+    def __init__(self, A, v, w):
+        self.local = _LocalSolver(A)
         self.v = np.asarray(v, dtype=float)
         self.w = np.asarray(w, dtype=float)
         self.z = self.local.solve(self.v)
         self.denom = 1.0 + self.w @ self.z
         self.bordered = None
         if abs(self.denom) < self.DENOM_TOL:
-            n = A.shape[0]
             B = sp.bmat([[A, sp.csc_matrix(self.v.reshape(-1, 1))],
                          [sp.csc_matrix(self.w.reshape(1, -1)), sp.csc_matrix([[-1.0]])]],
                         format="csc")
@@ -434,38 +349,18 @@ class GridFunction:
     grid: Grid
     values: np.ndarray  # (N,)
 
-    def interior_values(self):
-        return self.values[self.grid.interior]
-
     def at(self, x):
-        """Value at an arbitrary point by multilinear interpolation."""
-        pt = np.atleast_1d(np.asarray(x, dtype=float))
+        """Value at an arbitrary point by multilinear interpolation in grid coordinates."""
         g = self.grid
-        if g.kind == "interval":
-            return float(np.interp(pt[0], g.axes[0], self.values))
-        if g.kind == "rectangle":
-            xax, yax = g.axes
-            vals = self.values.reshape(g.shape)
-            i = np.clip(np.searchsorted(xax, pt[0]) - 1, 0, len(xax) - 2)
-            j = np.clip(np.searchsorted(yax, pt[1]) - 1, 0, len(yax) - 2)
-            tx = (pt[0] - xax[i]) / (xax[i + 1] - xax[i])
-            ty = (pt[1] - yax[j]) / (yax[j + 1] - yax[j])
-            return float((1 - tx) * (1 - ty) * vals[i, j] + tx * (1 - ty) * vals[i + 1, j]
-                         + (1 - tx) * ty * vals[i, j + 1] + tx * ty * vals[i + 1, j + 1])
-        rax, thax = g.axes
-        cx, cy = g.domain.params[0], g.domain.params[1]
-        rho = math.hypot(pt[0] - cx, pt[1] - cy)
-        theta = math.atan2(pt[1] - cy, pt[0] - cx) % (2 * math.pi)
-        vals = self.values.reshape(g.shape)
-        nr, nth = g.shape
-        i = int(np.clip(np.searchsorted(rax, rho) - 1, 0, nr - 2))
-        dth = thax[1] - thax[0]
-        j = int(theta // dth) % nth
-        tr = (rho - rax[i]) / (rax[i + 1] - rax[i])
-        tt = (theta - thax[j]) / dth
-        jp = (j + 1) % nth
-        return float((1 - tr) * (1 - tt) * vals[i, j] + tr * (1 - tt) * vals[i + 1, j]
-                     + (1 - tr) * tt * vals[i, jp] + tr * tt * vals[i + 1, jp])
+        xi = g.coords.from_cartesian(np.atleast_1d(np.asarray(x, dtype=float)))
+        value = self.values.reshape(g.shape)
+        for q, ax, n, h, periodic in zip(xi, g.axes, g.shape, g.spacing, g.periodic):
+            i = int(np.searchsorted(ax, q, side="right")) - 1
+            i = i % n if periodic else min(max(i, 0), n - 2)
+            t = (q - ax[i]) / h
+            lo, hi = np.take(value, [i, i + 1], axis=0, mode="wrap")
+            value = (1 - t) * lo + t * hi
+        return float(value)
 
     def to_csv(self, path):
         d = self.grid.points.shape[1]
@@ -476,8 +371,13 @@ class GridFunction:
                 fh.write(",".join(repr(float(c)) for c in p) + f",{v!r}\n")
 
 
+def _on_grid(grid: Grid, interior_values, boundary_values) -> GridFunction:
+    values = np.empty(grid.n_nodes)
+    values[grid.interior], values[grid.boundary] = interior_values, boundary_values
+    return GridFunction(grid, values)
+
+
 def solve_no_jump_prob(delta, coeffs: CoefficientSet, grid: Grid,
-                       options: SolverOptions | None = None,
                        allow_coarse=False) -> GridFunction:
     """Probability of reaching the boundary before the exponential clock rings.
 
@@ -485,19 +385,13 @@ def solve_no_jump_prob(delta, coeffs: CoefficientSet, grid: Grid,
     discrete maximum principle keeps interior values in (0, 1].
     """
     A_loc, B_bc = assemble_local(delta, coeffs, grid, allow_coarse=allow_coarse)
-    local = _LocalSolver(A_loc, options or SolverOptions())
-    rhs = -(B_bc @ np.ones(len(grid.boundary)))
-    ui = local.solve(rhs)
+    ui = _LocalSolver(A_loc).solve(-(B_bc @ np.ones(len(grid.boundary))))
     if not np.all(np.isfinite(ui)):
         raise SolverError("singular or ill-conditioned local solve")
-    values = np.empty(grid.n_nodes)
-    values[grid.interior] = ui
-    values[grid.boundary] = 1.0
-    return GridFunction(grid, values)
+    return _on_grid(grid, ui, 1.0)
 
 
 def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None,
-                          options: SolverOptions | None = None,
                           allow_coarse=False) -> GridFunction:
     """Expected boundary data at the exit point, via the nonlocal Dirichlet solve.
 
@@ -508,12 +402,7 @@ def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None,
     f = coeffs.boundary_data if f is None else f
     fb = f.eval(grid.points[grid.boundary], (0,) * grid.points.shape[1])
     rhs = -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
-    solver = RankOneSolver(op.A_loc, op.v, op.w_interior, options)
-    phi_i = solver.solve(rhs)
-    values = np.empty(grid.n_nodes)
-    values[grid.interior] = phi_i
-    values[grid.boundary] = fb
-    return GridFunction(grid, values)
+    return _on_grid(grid, RankOneSolver(op.A_loc, op.v, op.w_interior).solve(rhs), fb)
 
 
 @dataclass(frozen=True)
@@ -525,7 +414,6 @@ class EigenResult:
 
 
 def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid,
-                         options: SolverOptions | None = None,
                          allow_coarse=False, rtol=1e-12, residual_tol=1e-10,
                          max_iterations=10_000) -> EigenResult:
     """Smallest decay rate of the killed process, by inverse power iteration.
@@ -536,7 +424,7 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid,
     reuses the rank-one solve.
     """
     op = assemble_operator(delta, coeffs, grid, allow_coarse=allow_coarse)
-    solver = RankOneSolver(op.A_loc, op.v, op.w_interior, options)
+    solver = RankOneSolver(op.A_loc, op.v, op.w_interior)
     apply_negM = lambda psi: -(op.A_loc @ psi + op.v * (op.w_interior @ psi))
 
     psi = np.ones(len(grid.interior))
@@ -569,9 +457,7 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid,
         raise SolverError(f"nonpositive Rayleigh quotient {lam:.3e}: discretization failure")
     if np.min(psi) < -1e-8 * np.max(psi):
         raise SolverError("principal eigenfunction changed sign; discretization failure")
-    values = np.zeros(grid.n_nodes)
-    values[grid.interior] = psi
-    return EigenResult(lambda0=lam, eigenfunction=GridFunction(grid, values),
+    return EigenResult(lambda0=lam, eigenfunction=_on_grid(grid, psi, 0.0),
                        iterations=it, residual=res)
 
 
@@ -585,68 +471,29 @@ class BoundaryFlux:
 def boundary_flux(u: GridFunction, coeffs: CoefficientSet) -> BoundaryFlux:
     """n . a grad(u) at the boundary nodes.
 
-    The normal derivative uses the one-sided second-order 3-point stencil
-    along the inward grid axis; tangential derivatives come from the boundary
-    values themselves (they vanish for constant Dirichlet data).
+    The derivative along the grid axis normal to the boundary is the
+    one-sided second-order 3-point stencil into the domain; along the other
+    axes it is the centred difference of the neighbouring boundary values
+    where both exist (they vanish for constant Dirichlet data), else zero.
     """
     g = u.grid
-    vals = u.values
-    if g.kind == "interval":
-        x = g.axes[0]
-        h = x[1] - x[0]
-        a = coeffs.diffusion.entry(0, 0)
-        dn_left = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h)
-        dn_right = (-3 * vals[-1] + 4 * vals[-2] - vals[-3]) / (2 * h)
-        flux = np.array([a.eval(x[:1].reshape(-1, 1), (0,))[0] * dn_left,
-                         a.eval(x[-1:].reshape(-1, 1), (0,))[0] * dn_right])
-        return BoundaryFlux(g.points[g.boundary], g.boundary_normals, flux)
-
-    if g.kind == "polar":
-        r, th = g.axes
-        nr, nth = g.shape
-        dr = r[1] - r[0]
-        V = vals.reshape(nr, nth)
-        alpha = coeffs.diffusion.entry(0, 0)
-        out = []
-        nodes = g.points[g.boundary]
-        avals = alpha.eval(nodes, (0, 0))
-        k = 0
-        if not g.has_core_ring:  # inner ring first in the boundary order
-            dn = (-3 * V[0] + 4 * V[1] - V[2]) / (2 * dr)
-            out.append(avals[k:k + nth] * dn)
-            k += nth
-        dn = (-3 * V[-1] + 4 * V[-2] - V[-3]) / (2 * dr)
-        out.append(avals[k:k + nth] * dn)
-        return BoundaryFlux(nodes, g.boundary_normals, np.concatenate(out))
-
-    # rectangle: normal derivative one-sided, tangential from boundary values
-    x, y = g.axes
-    nx, ny = g.shape
-    hx, hy = g.spacing
-    V = vals.reshape(nx, ny)
-    nodes = g.points[g.boundary]
+    ids = g.boundary
+    nodes = g.points[ids]
     normals = g.boundary_normals
-    amat = coeffs.diffusion(nodes)
-    flux = np.empty(len(nodes))
-
-    def tang(line, h):
-        d = np.gradient(line, h)
-        return d
-
-    for idx, (node, nvec) in enumerate(zip(nodes, normals)):
-        i = int(round((node[0] - x[0]) / hx))
-        j = int(round((node[1] - y[0]) / hy))
-        if abs(nvec[0]) > 0.5:  # left or right edge
-            s = 1 if nvec[0] > 0 else -1
-            dn = (-3 * V[i, j] + 4 * V[i + s, j] - V[i + 2 * s, j]) / (2 * hx)
-            grad = np.array([s * dn, 0.0])
-            if 0 < j < ny - 1:
-                grad[1] = (V[i, j + 1] - V[i, j - 1]) / (2 * hy)
-        else:
-            s = 1 if nvec[1] > 0 else -1
-            dn = (-3 * V[i, j] + 4 * V[i, j + s] - V[i, j + 2 * s]) / (2 * hy)
-            grad = np.array([0.0, s * dn])
-            if 0 < i < nx - 1:
-                grad[0] = (V[i + 1, j] - V[i - 1, j]) / (2 * hx)
-        flux[idx] = nvec @ amat[idx] @ grad
+    index, xi = np.unravel_index(ids, g.shape), g.coordinates[ids]
+    scale, units = g.coords.scales(xi), g.coords.units(xi)
+    grad = np.zeros(nodes.shape)
+    taken = np.zeros(len(ids), dtype=bool)
+    for k, (h, n) in enumerate(zip(g.spacing, g.shape)):
+        at = lambda shift: u.values[g.step(ids, index[k], k, shift)]
+        high = (index[k] == n - 1) & (-1 in g.dirichlet[k])
+        # the normal axis is the first one on whose Dirichlet end the node sits
+        normal = ((index[k] == 0) & (0 in g.dirichlet[k]) | high) & ~taken
+        taken |= normal
+        s = np.where(high, -1, 1)
+        one_sided = s * (-3 * u.values[ids] + 4 * at(s) - at(2 * s)) / (2 * h)
+        both = g.periodic[k] | ((index[k] > 0) & (index[k] < n - 1))
+        centred = np.where(both, (at(1) - at(-1)) / (2 * h), 0.0)
+        grad += (np.where(normal, one_sided, centred) / scale[:, k])[:, None] * units[:, k]
+    flux = np.einsum("ni,nij,nj->n", normals, coeffs.diffusion(nodes), grad)
     return BoundaryFlux(nodes, normals, flux)

@@ -581,48 +581,44 @@ def _unit(dim, axis):
     return tuple(1 if j == axis else 0 for j in range(dim))
 
 
+def _half_divergence_terms(coeffs: CoefficientSet, f: ScalarField):
+    """Terms of (1/2) sum_ij d_i(a_ij d_j f) = (1/2)[(d_i a_ij)(d_j f) + a_ij d_i d_j f]."""
+    d = coeffs.dim
+    terms = []
+    for i in range(d):
+        ei = _unit(d, i)
+        for j in range(d):
+            ej = _unit(d, j)
+            a_ij = coeffs.diffusion.entry(i, j)
+            if a_ij.constant_value() == 0.0:
+                continue
+            terms.append((0.5, Product(a_ij.derivative(ei), f.derivative(ej))))
+            terms.append((0.5, Product(a_ij, f.derivative(tuple(x + y for x, y in zip(ei, ej))))))
+    return terms
+
+
 def apply_generator(coeffs: CoefficientSet, phi: ScalarField) -> ScalarField:
     """(1/2) sum_ij d_i(a_ij d_j phi) + sum_i b_i d_i phi, as a field.
 
     Needs phi twice differentiable and a once; the result's declared order
     drops accordingly.
     """
-    d = coeffs.dim
     if phi.max_order < 2:
         raise DerivativeOrderError("apply_generator needs a field of order >= 2")
-    terms = []
-    for i in range(d):
-        ei = _unit(d, i)
-        for j in range(d):
-            ej = _unit(d, j)
-            a_ij = coeffs.diffusion.entry(i, j)
-            if a_ij.constant_value() == 0.0:
-                continue
-            # (1/2)[(d_i a_ij)(d_j phi) + a_ij d_i d_j phi]
-            terms.append((0.5, Product(a_ij.derivative(ei), phi.derivative(ej))))
-            terms.append((0.5, Product(a_ij, phi.derivative(tuple(x + y for x, y in zip(ei, ej))))))
-        b_i = coeffs.drift.components[i]
+    terms = _half_divergence_terms(coeffs, phi)
+    for i, b_i in enumerate(coeffs.drift.components):
         if b_i.constant_value() != 0.0:
-            terms.append((1.0, Product(b_i, phi.derivative(ei))))
+            terms.append((1.0, Product(b_i, phi.derivative(_unit(coeffs.dim, i)))))
     return LinearCombo(tuple(terms))
 
 
 def apply_adjoint(coeffs: CoefficientSet, psi: ScalarField) -> ScalarField:
     """(1/2) div(a grad psi) - b . grad psi - (div b) psi."""
-    d = coeffs.dim
     if psi.max_order < 2:
         raise DerivativeOrderError("apply_adjoint needs a field of order >= 2")
-    terms = []
-    for i in range(d):
-        ei = _unit(d, i)
-        for j in range(d):
-            ej = _unit(d, j)
-            a_ij = coeffs.diffusion.entry(i, j)
-            if a_ij.constant_value() == 0.0:
-                continue
-            terms.append((0.5, Product(a_ij.derivative(ei), psi.derivative(ej))))
-            terms.append((0.5, Product(a_ij, psi.derivative(tuple(x + y for x, y in zip(ei, ej))))))
-        b_i = coeffs.drift.components[i]
+    terms = _half_divergence_terms(coeffs, psi)
+    for i, b_i in enumerate(coeffs.drift.components):
+        ei = _unit(coeffs.dim, i)
         if b_i.constant_value() != 0.0:
             terms.append((-1.0, Product(b_i, psi.derivative(ei))))
         db_i = b_i.derivative(ei)

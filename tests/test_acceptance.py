@@ -45,7 +45,7 @@ EIGEN_DELTAS_K2 = (1e-3, 10**-3.5, 1e-4, 10**-4.5, 1e-5)
 def _eigen_criterion(cid, preset_name, deltas, factor, target_pref, pref_rtol, expo):
     spec = jl.preset(preset_name)
     res = ex.run_eigenvalue_scaling_experiment(
-        spec, deltas, grid_factor=factor, prefactor_delta=1e-4, workers=2)
+        spec, deltas, grid_factor=factor, prefactor_delta=1e-4)
     pref = res.check("prefactor")
     lim = res.check("exponent_limit_contains_theory")
     win = res.check("exponent_window")
@@ -100,11 +100,11 @@ def test_criterion_04_exit_law_limit_asymmetric():
 def test_criterion_05_boundary_flux():
     spec1 = jl.preset("interval-flux-a2v3")
     r1 = ex.run_boundary_flux_experiment(spec1, (1e-3, 1e-4, 1e-5),
-                                         grid_factor=0.04, workers=2)
+                                         grid_factor=0.04)
     v1 = r1.check("flux_value")
     spec2 = jl.preset("annulus-flux")
     r2 = ex.run_boundary_flux_experiment(spec2, (1e-3, 10**-3.5, 1e-4),
-                                         grid_factor=0.05, n_angular=64, workers=2)
+                                         grid_factor=0.05, n_angular=64)
     v2 = r2.check("flux_value")
     u2 = r2.check("flux_uniformity")
     detail = (f"1d a=2 V=3: {v1.value:.4f} vs {v1.target:.4f} "
@@ -209,7 +209,7 @@ def test_criterion_11_interior_decay_slope():
     res = ex.run_interior_decay_experiment(spec, (1e-2, 1e-3, 1e-4),
                                            grid_factor=0.05,
                                            expected_slope=-1.0 / math.sqrt(2.0),
-                                           slope_rtol=0.05, workers=2)
+                                           slope_rtol=0.05)
     c = res.check("decay_slope_value")
     report(11, c.passed, f"log u(center) vs delta^-1/2 slope {c.value:.5f} "
                          f"vs {c.target:.5f} (tol 5%)")
@@ -306,7 +306,7 @@ def test_criterion_13_property_suite():
 
 def test_criterion_14_vanishing_intensity_probe():
     results, summary = ex.run_probe_suite(lambda m: jl.preset(f"probe-Vm{m}"),
-                                          ms=(1, 2, 3), workers=2)
+                                          ms=(1, 2, 3))
     alphas = summary["alphas"]
     cis = summary["alpha_cis"]
     finite = all(np.isfinite(alphas[m]) and np.isfinite(cis[m]).all()

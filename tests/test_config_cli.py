@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jumplab import ConfigError, Domain, preset
+from jumplab import ConfigError, Domain, JumplabError, preset
 from jumplab import theory
 from jumplab.cli import main
 from jumplab.config import build_problem, parse_domain, parse_field
@@ -52,6 +54,70 @@ def test_field_grammar():
         parse_field({"poly": {"1,2": 1.0}}, 1, dom)  # wrong arity
     with pytest.raises(ConfigError):
         parse_field({"mystery": 1}, 1, dom)
+
+
+@pytest.mark.parametrize("node", [
+    {"trig": {}}, {"dist_power": {}}, {"scale": {"by": 2}}, {"poly": [1, 2]}, {"sum": 3},
+    {"poly": {"1": "x"}}, {"const": "a"}, {"trig": {"freq": [1, 2]}}, {"sum": []},
+    {"dist_power": {"m": float("inf")}},
+])
+def test_field_grammar_errors_are_config_errors(node):
+    with pytest.raises(ConfigError):
+        parse_field(node, 1, Domain.interval(0, 1))
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+FIELD_KEYS = ("fn", "freq", "phase", "amp", "m", "factor", "by", "field", "0", "1", "0,1", "x")
+FIELD_SPECS = st.recursive(
+    st.one_of(JSON_LEAVES, st.dictionaries(st.sampled_from(
+        ("const", "poly", "trig", "dist_power", "sum", "scale")), JSON_VALUES, max_size=2)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(FIELD_KEYS), inner, max_size=3),
+        st.dictionaries(st.sampled_from(("const", "poly", "trig", "dist_power", "sum",
+                                         "scale")), inner, min_size=1, max_size=1)),
+    max_leaves=10)
+DOMAINS = st.one_of(
+    st.just({"kind": "interval", "a": 0.0, "b": 1.0}),
+    st.just({"kind": "disk", "radius": 1.0}),
+    st.dictionaries(st.sampled_from(("kind", "a", "b", "radius", "center", "r_inner")),
+                    st.one_of(st.sampled_from(("interval", "disk", "annulus")), JSON_VALUES),
+                    max_size=4),
+    JSON_VALUES)
+COEFFICIENTS = st.one_of(
+    st.dictionaries(st.sampled_from(("k", "diffusion", "drift", "intensity", "redistribution",
+                                     "boundary_data", "allow_vanishing_intensity")),
+                    st.one_of(FIELD_SPECS, st.lists(FIELD_SPECS, max_size=2)), max_size=7),
+    JSON_VALUES)
+DOCUMENTS = st.one_of(
+    st.fixed_dictionaries({"domain": DOMAINS, "coefficients": COEFFICIENTS},
+                          optional={"k": JSON_VALUES, "x0": JSON_VALUES, "name": JSON_VALUES}),
+    JSON_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=FIELD_SPECS, dim=st.sampled_from((1, 2)))
+def test_parse_field_raises_only_package_errors(node, dim):
+    domain = Domain.interval(0, 1) if dim == 1 else Domain.disk(0, 0, 1)
+    try:
+        parse_field(node, dim, domain)
+    except JumplabError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCUMENTS)
+def test_build_problem_raises_only_package_errors(doc):
+    try:
+        build_problem(doc)
+    except JumplabError:
+        pass
 
 
 def test_build_problem_matches_preset_theory():
@@ -191,6 +257,15 @@ def test_cli_requires_problem():
     assert main(["theory"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--preset", "interval-k0-uniform", "--delta", "1e-3", "--grid-n", "2"],
+    ["solve", "--preset", "disk-k0-radial", "--delta", "1e-3", "--grid-angular", "4"],
+])
+def test_cli_too_few_grid_nodes_is_an_error_line(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 FULL_CONFIG = {
     "name": "beta22-from-config",
     "domain": {"kind": "interval", "a": 0.0, "b": 1.0},
@@ -201,7 +276,6 @@ FULL_CONFIG = {
         "redistribution": {"poly": {"1": 6.0, "2": -6.0}},
     },
     "experiment": {"kind": "decay", "deltas": [1e-2, 1e-3]},
-    "solver": {"method": "direct"},
     "mc": {"dt": 1e-3, "paths": 300, "exit_mode": "bridge-1d", "horizon": 300.0},
     "x0": [0.5],
 }

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from jumplab import (CoefficientSet, MatrixField, PolyField, ValidationError,
+from jumplab import (CoefficientSet, Domain, MatrixField, PolyField, ValidationError,
                      VectorField, const, apply_generator, preset)
 from jumplab import fdm
 
@@ -43,6 +43,40 @@ def test_local_operator_exact_on_quadratics():
     out = A @ phi_i + B @ phi_b
     # delta * (1/2) * 2 - V * x^2, exactly (second-order stencil on a quadratic)
     assert np.allclose(out, delta - x[grid.interior] ** 2, atol=1e-12)
+
+
+@pytest.mark.parametrize("u,exact", [
+    (lambda x, y: x**2, lambda x, y, a, b: a[0][0] + 2 * b[0] * x),
+    (lambda x, y: x * y, lambda x, y, a, b: a[0][1] + b[0] * y + b[1] * x),
+    (lambda x, y: y**2, lambda x, y, a, b: a[1][1] + 2 * b[1] * y),
+], ids=["x^2", "xy", "y^2"])
+def test_rectangle_operator_exact_on_quadratics_with_cross_term_and_drift(u, exact):
+    a = ((1.0, 0.3), (0.3, 1.5))
+    b = (0.5, -0.7)
+    c = CoefficientSet(
+        diffusion=MatrixField(tuple(tuple(const(2, e) for e in row) for row in a)),
+        drift=VectorField.constant(b), intensity=PolyField.from_dict(2, {(0, 0): 1.0, (1, 0): 1.0}),
+        redistribution=const(2, 0.5), boundary_data=const(2, 0.0), vanishing_order=0)
+    grid = fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 2.0), (21, 31))
+    delta = 0.3
+    A, B = fdm.assemble_local(delta, c, grid, allow_coarse=True)
+    x, y = grid.points.T
+    out = A @ u(x, y)[grid.interior] + B @ u(x, y)[grid.boundary]
+    xi, yi = x[grid.interior], y[grid.interior]
+    # delta * (1/2 tr(a hess u) + b . grad u) - V u, exactly on a quadratic
+    target = delta * exact(xi, yi, a, b) - (1.0 + xi) * u(xi, yi)
+    assert np.allclose(out, target, rtol=0, atol=1e-10)
+
+
+def test_annulus_operator_exact_on_r_squared():
+    spec = preset("annulus-flux")
+    grid = fdm.build_grid(spec.domain, 41, n_angular=16)
+    delta = 0.3
+    A, B = fdm.assemble_local(delta, spec.coeffs, grid, allow_coarse=True)
+    r2 = np.sum((grid.points - spec.domain.params[:2]) ** 2, axis=1)
+    out = A @ r2[grid.interior] + B @ r2[grid.boundary]
+    V = spec.coeffs.intensity.eval(grid.points[grid.interior], (0, 0))
+    assert np.allclose(out, 2 * delta - V * r2[grid.interior], rtol=0, atol=1e-10)
 
 
 def test_local_operator_matches_field_operator():
@@ -194,6 +228,14 @@ def test_layer_resolution_precondition():
         warnings.simplefilter("always")
         fdm.assemble_local(1e-6, spec.coeffs, grid, allow_coarse=True)
     assert any("resolve" in str(w.message) for w in rec)
+
+
+@pytest.mark.parametrize("shape", [(11, 401), (401, 11)])
+def test_layer_resolution_checks_every_boundary_normal_axis(shape):
+    spec = preset("square-k0-uniform")
+    grid = fdm.build_grid(spec.domain, shape)  # one axis at h = 0.1 against the 0.0158 limit
+    with pytest.raises(ValidationError):
+        fdm.solve_no_jump_prob(1e-3, spec.coeffs, grid)
 
 
 def test_polar_disk_radial_symmetry_and_solution():
