@@ -228,13 +228,14 @@ def build_parser():
         sp.add_argument("--preset", choices=PRESET_NAMES, help="named problem preset")
         sp.add_argument("--config", help="JSON problem configuration")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="processes that Monte Carlo chunks are spread over")
         sp.add_argument("--grid-n", type=int, dest="grid_n",
                         help="nodes per axis (default: resolve the boundary layer)")
         sp.add_argument("--grid-angular", type=int, dest="grid_angular", default=64)
+
+    def workers(sp):
+        sp.add_argument("--workers", type=int, default=1,
+                        help="processes that Monte Carlo chunks are spread over")
 
     sp = sub.add_parser("theory", help="closed-form limit quantities")
     common(sp)
@@ -253,6 +254,8 @@ def build_parser():
 
     sp = sub.add_parser("mc", help="Monte Carlo exit-law estimate")
     common(sp)
+    workers(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--delta", required=True)
     sp.add_argument("--paths", type=int, default=None)
     sp.add_argument("--dt", type=float, default=None)
@@ -265,6 +268,7 @@ def build_parser():
 
     sp = sub.add_parser("sweep", help="delta sweeps with fits and checks")
     common(sp)
+    workers(sp)
     sp.add_argument("--experiment", default=None,
                     choices=("exit-law", "eigenvalue", "flux", "decay"))
     sp.add_argument("--delta", help="comma-separated list")

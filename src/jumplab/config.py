@@ -53,7 +53,7 @@ def _parse_exponent_key(key, dim):
 
 
 def parse_field(node, dim, domain=None):
-    if isinstance(node, (int, float)):
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
         return const(dim, float(node))
     if not isinstance(node, dict) or len(node) != 1:
         raise ConfigError(f"field spec must be a number or a one-key object, got {node!r}")
@@ -70,8 +70,10 @@ def parse_field(node, dim, domain=None):
         if tag == "dist_power":
             if domain is None:
                 raise ConfigError("dist_power fields need a domain")
-            factor = parse_field(body.get("factor", 1.0), dim, domain)
-            return DistPowerField(domain, int(body["m"]), factor)
+            m = body["m"]
+            if type(m) is not int or m < 0:
+                raise ConfigError(f"dist_power needs an integer power m >= 0, got {m!r}")
+            return DistPowerField(domain, m, parse_field(body.get("factor", 1.0), dim, domain))
         if tag == "sum":
             if not body:
                 raise ConfigError("a sum field needs at least one term")

@@ -19,7 +19,7 @@ from . import fdm, mc, theory
 from .errors import ValidationError
 from .fitting import PowerLawFit, fit_power_law, fit_slope
 from .presets import ProblemSpec
-from .geometry import Domain
+from .geometry import Domain, Ring
 
 #: harness default sweep
 DEFAULT_DELTAS = (1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4)
@@ -289,7 +289,7 @@ def run_boundary_flux_experiment(spec: ProblemSpec, deltas=(1e-3, 1e-4, 1e-5),
                     float(scaled[0]), float(target[0]), value_rtol,
                     detail=f"max relative deviation over the boundary: {np.max(rel_dev):.3e} "
                            f"at delta={d_min:g}")]
-    if spec.domain.kind in ("disk", "annulus"):
+    if isinstance(spec.domain, Ring):
         # outer component: last n_angular values by grid convention
         outer = scaled[-n_angular:]
         spread = float((outer.max() - outer.min()) / abs(outer.mean()))

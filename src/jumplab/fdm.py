@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError, ValidationError
 from .fields import CoefficientSet
-from .geometry import Domain
+from .geometry import Box, Domain
 
 # Excised-core radius of polar disk grids, relative to the disk radius.  The
 # core gets a reflecting closure; a controlled perturbation at this scale.
@@ -124,26 +124,25 @@ def build_grid(domain: Domain, n, n_angular=None) -> Grid:
     and ``n_angular`` angular nodes (default 64); the disk excises a small
     core whose ring is closed by a reflecting face.
     """
-    if domain.kind in ("interval", "rectangle"):
-        d = len(domain.params) // 2
+    if isinstance(domain, Box):
+        d = domain.dim
         shape = tuple(int(m) for m in n) if isinstance(n, (tuple, list)) else (int(n),) * d
         if len(shape) != d or min(shape) < 3:
             raise ValidationError(f"need at least 3 nodes on each of {d} axes, got {shape}")
-        axes = tuple(np.linspace(a, b, m)
-                     for a, b, m in zip(domain.params[:d], domain.params[d:], shape))
+        axes = tuple(np.linspace(a, b, m) for a, b, m in zip(domain.lo, domain.hi, shape))
         family, periodic, coords = "box", (False,) * d, _Cartesian()
         dirichlet = ((0, -1),) * d
         weights = [_trapezoid(ax) for ax in axes]
     else:
-        cx, cy, *radii = domain.params
-        inner = domain.kind == "annulus"  # the disk's excised core ring reflects instead
-        ri, ro = radii if inner else (DISK_CORE_FRACTION * radii[0], radii[0])
+        inner = domain.has_inner  # the disk's excised core ring reflects instead
+        ro = domain.r_outer
+        ri = domain.r_inner if inner else DISK_CORE_FRACTION * ro
         shape = (int(n), int(n_angular) if n_angular else 64)
         if shape[0] < 3 or shape[1] < 8:
             raise ValidationError(f"polar grids need nr >= 3 and n_angular >= 8, got {shape}")
         r = np.linspace(ri, ro, shape[0])
         axes = (r, 2 * math.pi * np.arange(shape[1]) / shape[1])
-        family, periodic, coords = "polar", (False, True), _Polar(cx, cy)
+        family, periodic, coords = "polar", (False, True), _Polar(*domain.origin)
         dirichlet = ((0, -1) if inner else (-1,), ())
         weights = [_trapezoid(r) * r, np.full(shape[1], 2 * math.pi / shape[1])]
 

@@ -1,13 +1,22 @@
 """Bounded domains and their boundary machinery.
 
-Supported shapes: interval, axis-aligned rectangle, disk, annulus.  All of
-them admit exact signed distances, inward normals and quadrature rules, which
-keeps the boundary integrals of the limit formulas free of mesh error.
-Rectangle corners are avoided by placing boundary quadrature nodes at
+Two shape families cover the four supported domains:
+
+- ``Box(lo, hi)``, an axis-aligned box: the interval is the 1D box and the
+  rectangle the 2D box.
+- ``Ring(origin, r_inner, r_outer)``, the region between two circles about
+  ``origin``: the disk is the ring with ``r_inner = 0`` and no inner circle,
+  the annulus has both circles.
+
+Build them with ``Domain.interval``, ``rectangle``, ``disk`` and ``annulus``.
+Both families admit exact signed distances, inward normals and quadrature
+rules, which keeps the boundary integrals of the limit formulas free of mesh
+error.  Rectangle corners are avoided by placing boundary quadrature nodes at
 edge-interior points (midpoint rule per edge); their surface measure is zero.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +51,24 @@ def as_points(x, dim):
     raise ValueError(f"cannot interpret shape {pts.shape} as points in {dim}D")
 
 
+def _trapezoid(lo, hi, resolution):
+    m = int(resolution)
+    if m < 2:
+        raise ValueError("resolution must be >= 2 per axis")
+    x = np.linspace(lo, hi, m)
+    w = np.full(m, (hi - lo) / (m - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return x, w
+
+
+def _nodes_per_piece(resolution):
+    m = int(resolution)
+    if m < 2:
+        raise ValueError("resolution must be >= 2 per boundary component")
+    return m
+
+
 @dataclass(frozen=True)
 class BoundaryQuadrature:
     """Nodes on the boundary with surface-measure weights and inward normals.
@@ -62,19 +89,16 @@ class InteriorQuadrature:
     weights: np.ndarray  # (m,)
 
 
-@dataclass(frozen=True)
 class Domain:
-    """A bounded domain of one of the four supported kinds.
+    """A bounded domain: a ``Box`` or a ``Ring``.
 
-    params:
-        interval        (a, b)
-        rectangle       (x0, y0, x1, y1)
-        disk            (cx, cy, radius)
-        annulus         (cx, cy, r_inner, r_outer)
+    Each family supplies ``dim``, ``diameter``, ``volume``, ``surface_measure``,
+    ``bounding_box`` (lo, hi corner arrays), ``center`` (an interior point),
+    ``coordinate_range`` (the range of ``boundary_coordinate``), the two
+    quadrature rules, and the batch forms ``_signed_distance``, ``_project``,
+    ``_normal`` and ``_coordinate`` on (n, dim) arrays.  The public point
+    queries below also take single points.
     """
-
-    kind: str
-    params: tuple
 
     # -- constructors -------------------------------------------------------
 
@@ -82,169 +106,45 @@ class Domain:
     def interval(a, b):
         if not b > a:
             raise ValueError("interval needs b > a")
-        return Domain("interval", (float(a), float(b)))
+        return Box((float(a),), (float(b),))
 
     @staticmethod
     def rectangle(x0, y0, x1, y1):
         if not (x1 > x0 and y1 > y0):
             raise ValueError("rectangle needs positive side lengths")
-        return Domain("rectangle", (float(x0), float(y0), float(x1), float(y1)))
+        return Box((float(x0), float(y0)), (float(x1), float(y1)))
 
     @staticmethod
     def disk(cx, cy, radius):
         if not radius > 0:
             raise ValueError("disk needs radius > 0")
-        return Domain("disk", (float(cx), float(cy), float(radius)))
+        return Ring((float(cx), float(cy)), 0.0, float(radius))
 
     @staticmethod
     def annulus(cx, cy, r_inner, r_outer):
         if not (r_inner > 0 and r_outer > r_inner):
             raise ValueError("annulus needs 0 < r_inner < r_outer")
-        return Domain("annulus", (float(cx), float(cy), float(r_inner), float(r_outer)))
-
-    # -- basic measures ------------------------------------------------------
-
-    @property
-    def dim(self):
-        return 1 if self.kind == "interval" else 2
-
-    @property
-    def diameter(self):
-        if self.kind == "interval":
-            a, b = self.params
-            return b - a
-        if self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            return math.hypot(x1 - x0, y1 - y0)
-        if self.kind == "disk":
-            return 2.0 * self.params[2]
-        return 2.0 * self.params[3]
-
-    @property
-    def volume(self):
-        if self.kind == "interval":
-            a, b = self.params
-            return b - a
-        if self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            return (x1 - x0) * (y1 - y0)
-        if self.kind == "disk":
-            return math.pi * self.params[2] ** 2
-        return math.pi * (self.params[3] ** 2 - self.params[2] ** 2)
-
-    @property
-    def surface_measure(self):
-        """Total boundary measure: counting measure (=2) for an interval."""
-        if self.kind == "interval":
-            return 2.0
-        if self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            return 2.0 * ((x1 - x0) + (y1 - y0))
-        if self.kind == "disk":
-            return 2.0 * math.pi * self.params[2]
-        return 2.0 * math.pi * (self.params[2] + self.params[3])
+        return Ring((float(cx), float(cy)), float(r_inner), float(r_outer))
 
     @property
     def boundary_tol(self):
         return BOUNDARY_TOL_FACTOR * self.diameter
-
-    @property
-    def bounding_box(self):
-        """(lo, hi) corner arrays of an axis-aligned box containing the domain."""
-        if self.kind == "interval":
-            a, b = self.params
-            return np.array([a]), np.array([b])
-        if self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            return np.array([x0, y0]), np.array([x1, y1])
-        if self.kind == "disk":
-            cx, cy, r = self.params
-            return np.array([cx - r, cy - r]), np.array([cx + r, cy + r])
-        cx, cy, _, r = self.params
-        return np.array([cx - r, cy - r]), np.array([cx + r, cy + r])
-
-    @property
-    def center(self):
-        if self.kind == "interval":
-            a, b = self.params
-            return np.array([(a + b) / 2.0])
-        if self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            return np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
-        if self.kind == "disk":
-            cx, cy, _ = self.params
-            return np.array([cx, cy])
-        # midpoint of the annular gap, on the positive x axis
-        cx, cy, ri, ro = self.params
-        return np.array([cx + (ri + ro) / 2.0, cy])
 
     # -- point queries -------------------------------------------------------
 
     def signed_distance(self, x):
         """Distance to the boundary, positive inside, negative outside."""
         pts, single = as_points(x, self.dim)
-        if self.kind == "interval":
-            a, b = self.params
-            sd = np.minimum(pts[:, 0] - a, b - pts[:, 0])
-        elif self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            half = np.array([(x1 - x0) / 2.0, (y1 - y0) / 2.0])
-            q = np.abs(pts - [(x0 + x1) / 2.0, (y0 + y1) / 2.0]) - half
-            outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-            inside = np.minimum(np.max(q, axis=1), 0.0)
-            sd = -(outside + inside)
-        elif self.kind == "disk":
-            cx, cy, r = self.params
-            sd = r - np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-        else:
-            cx, cy, ri, ro = self.params
-            rho = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-            sd = np.minimum(rho - ri, ro - rho)
+        sd = self._signed_distance(pts)
         return float(sd[0]) if single else sd
 
     def contains(self, x):
-        sd = self.signed_distance(x)
-        return sd > 0.0 if np.isscalar(sd) else sd > 0.0
+        return self.signed_distance(x) > 0.0
 
     def project_to_boundary(self, x):
-        """Nearest boundary point (exact for all four shapes)."""
+        """Nearest boundary point (exact for both families)."""
         pts, single = as_points(x, self.dim)
-        out = pts.copy()
-        if self.kind == "interval":
-            a, b = self.params
-            out[:, 0] = np.where(pts[:, 0] - a <= b - pts[:, 0], a, b)
-        elif self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            cl = np.clip(pts, [x0, y0], [x1, y1])
-            inside = self.signed_distance(pts) > 0
-            # outside or on edge: clamp, then push interior points to the nearest edge
-            out = cl.copy()
-            if np.any(inside):
-                p = cl[inside]
-                d = np.stack([p[:, 0] - x0, x1 - p[:, 0], p[:, 1] - y0, y1 - p[:, 1]], axis=1)
-                side = np.argmin(d, axis=1)
-                q = p.copy()
-                q[side == 0, 0] = x0
-                q[side == 1, 0] = x1
-                q[side == 2, 1] = y0
-                q[side == 3, 1] = y1
-                out[inside] = q
-        elif self.kind == "disk":
-            cx, cy, r = self.params
-            v = pts - [cx, cy]
-            rho = np.linalg.norm(v, axis=1, keepdims=True)
-            # a point at the exact center projects along +x by convention
-            v = np.where(rho > 0, v, [1.0, 0.0])
-            rho = np.where(rho > 0, rho, 1.0)
-            out = [cx, cy] + v / rho * r
-        else:
-            cx, cy, ri, ro = self.params
-            v = pts - [cx, cy]
-            rho = np.linalg.norm(v, axis=1, keepdims=True)
-            v = np.where(rho > 0, v, [1.0, 0.0])
-            rho = np.where(rho > 0, rho, 1.0)
-            target = np.where(np.abs(rho - ri) <= np.abs(rho - ro), ri, ro)
-            out = [cx, cy] + v / rho * target
+        out = self._project(pts)
         return out[0] if single else out
 
     def inward_normal(self, x):
@@ -254,161 +154,252 @@ class Domain:
         tolerance from the boundary.
         """
         pts, single = as_points(x, self.dim)
-        sd = np.abs(self.signed_distance(pts))
+        sd = np.abs(self._signed_distance(pts))
         if np.any(sd > self.boundary_tol):
             worst = float(np.max(sd))
             raise GeometryError(
                 f"point not on the boundary: |signed distance| = {worst:.3e} "
                 f"exceeds tolerance {self.boundary_tol:.3e}")
-        if self.kind == "interval":
-            a, b = self.params
-            n = np.where((pts[:, 0] - a) <= (b - pts[:, 0]), 1.0, -1.0).reshape(-1, 1)
-        elif self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            d = np.stack([pts[:, 0] - x0, x1 - pts[:, 0], pts[:, 1] - y0, y1 - pts[:, 1]], axis=1)
-            side = np.argmin(np.abs(d), axis=1)
-            n = np.zeros_like(pts)
-            n[side == 0] = [1.0, 0.0]
-            n[side == 1] = [-1.0, 0.0]
-            n[side == 2] = [0.0, 1.0]
-            n[side == 3] = [0.0, -1.0]
-        elif self.kind == "disk":
-            cx, cy, r = self.params
-            v = pts - [cx, cy]
-            n = -v / np.linalg.norm(v, axis=1, keepdims=True)
-        else:
-            cx, cy, ri, ro = self.params
-            v = pts - [cx, cy]
-            rho = np.linalg.norm(v, axis=1, keepdims=True)
-            unit = v / rho
-            on_inner = np.abs(rho[:, 0] - ri) <= np.abs(rho[:, 0] - ro)
-            n = np.where(on_inner[:, None], unit, -unit)
+        n = self._normal(pts)
         return n[0] if single else n
 
     def boundary_coordinate(self, x):
         """Scalar coordinate along the boundary, for histogram binning.
 
-        Returns (coord, component).  Interval: the x value itself, component
-        0 (left) or 1 (right).  Disk: angle in [0, 2pi), component 0.
+        Returns (coord, component), with coord in ``coordinate_range``.
+        Interval: the x value itself, component 0 (left) or 1 (right).
         Rectangle: arclength counterclockwise from (x0, y0), component = edge
-        index.  Annulus: angle in [0, 2pi), component 0 (inner) or 1 (outer).
+        index.  Disk: angle in [0, 2pi), component 0.  Annulus: angle in
+        [0, 2pi), component 0 (inner) or 1 (outer).
         """
         pts, single = as_points(x, self.dim)
-        if self.kind == "interval":
-            a, b = self.params
-            right = (pts[:, 0] - a) > (b - pts[:, 0])
-            coord = pts[:, 0].copy()
-            comp = right.astype(int)
-        elif self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            d = np.stack([pts[:, 1] - y0, x1 - pts[:, 0], y1 - pts[:, 1], pts[:, 0] - x0], axis=1)
-            comp = np.argmin(np.abs(d), axis=1)
-            w, h = x1 - x0, y1 - y0
-            start = np.array([0.0, w, w + h, 2 * w + h])
-            along = np.choose(comp, [pts[:, 0] - x0, pts[:, 1] - y0, x1 - pts[:, 0], y1 - pts[:, 1]])
-            coord = start[comp] + along
-        elif self.kind == "disk":
-            cx, cy, _ = self.params
-            coord = np.mod(np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx), 2 * math.pi)
-            comp = np.zeros(len(pts), dtype=int)
-        else:
-            cx, cy, ri, ro = self.params
-            rho = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-            coord = np.mod(np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx), 2 * math.pi)
-            comp = (np.abs(rho - ro) < np.abs(rho - ri)).astype(int)
+        coord, comp = self._coordinate(pts)
         if single:
             return float(coord[0]), int(comp[0])
         return coord, comp
 
-    # -- quadrature ----------------------------------------------------------
+
+@dataclass(frozen=True, repr=False)
+class Box(Domain):
+    """The axis-aligned box [lo, hi]: an interval in 1D, a rectangle in 2D."""
+
+    lo: tuple
+    hi: tuple
+
+    def __repr__(self):
+        return f"{('interval', 'rectangle')[self.dim - 1]}{self.lo + self.hi}"
+
+    @property
+    def dim(self):
+        return len(self.lo)
+
+    @property
+    def _sides(self):
+        return tuple(h - l for l, h in zip(self.lo, self.hi))
+
+    @property
+    def diameter(self):
+        return math.hypot(*self._sides)
+
+    @property
+    def volume(self):
+        return math.prod(self._sides)
+
+    @property
+    def surface_measure(self):
+        """Total boundary measure: counting measure (=2) for an interval."""
+        s = self._sides
+        # the two faces across each axis, each the product of the other sides
+        return 2.0 * sum(math.prod(s[:k] + s[k + 1:]) for k in range(self.dim))
+
+    @property
+    def bounding_box(self):
+        return np.array(self.lo), np.array(self.hi)
+
+    @property
+    def center(self):
+        return (np.array(self.lo) + np.array(self.hi)) / 2.0
+
+    @property
+    def coordinate_range(self):
+        return (self.lo[0], self.hi[0]) if self.dim == 1 else (0.0, self.surface_measure)
+
+    def _signed_distance(self, pts):
+        sd = None
+        for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            g = np.minimum(pts[:, k] - lo, hi - pts[:, k])
+            # outside two faces at once, the nearest boundary point is their corner
+            sd = g if sd is None else np.where((sd < 0) & (g < 0), -np.hypot(sd, g),
+                                               np.minimum(sd, g))
+        return sd
+
+    def _nearest_face(self, pts):
+        """(axis, upper) of the face nearest each point; ties go to the first axis
+        and then to its lower face."""
+        lo, hi = self.bounding_box
+        gaps = np.stack([pts - lo, hi - pts], axis=2).reshape(len(pts), -1)
+        face = np.argmin(np.abs(gaps), axis=1)
+        return face // 2, face % 2 == 1
+
+    def _project(self, pts):
+        lo, hi = self.bounding_box
+        out = np.clip(pts, lo, hi)
+        # a clipped point has a zero gap to the face it landed on, so moving every
+        # point onto its nearest face moves only the inside ones
+        axis, upper = self._nearest_face(out)
+        out[np.arange(len(out)), axis] = np.where(upper, hi[axis], lo[axis])
+        return out
+
+    def _normal(self, pts):
+        axis, upper = self._nearest_face(pts)
+        n = np.zeros_like(pts)
+        n[np.arange(len(pts)), axis] = np.where(upper, -1.0, 1.0)
+        return n
+
+    def _coordinate(self, pts):
+        if self.dim == 1:
+            (a,), (b,) = self.lo, self.hi
+            return pts[:, 0].copy(), ((pts[:, 0] - a) > (b - pts[:, 0])).astype(int)
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        x, y = pts[:, 0], pts[:, 1]
+        comp = np.argmin(np.abs(np.stack([y - y0, x1 - x, y1 - y, x - x0], axis=1)), axis=1)
+        w, h = x1 - x0, y1 - y0
+        start = np.array([0.0, w, w + h, 2 * w + h])
+        return start[comp] + np.choose(comp, [x - x0, y - y0, x1 - x, y1 - y]), comp
 
     def boundary_quadrature(self, resolution=400):
-        """Quadrature over the boundary; ``resolution`` = nodes per smooth piece.
+        """Quadrature over the boundary; ``resolution`` = nodes per edge.
 
         Interval boundaries carry counting measure: two nodes of weight one.
         """
-        if self.kind == "interval":
-            a, b = self.params
-            nodes = np.array([[a], [b]])
-            return BoundaryQuadrature(nodes, np.array([1.0, 1.0]),
+        if self.dim == 1:
+            return BoundaryQuadrature(np.array([self.lo, self.hi]), np.array([1.0, 1.0]),
                                       np.array([[1.0], [-1.0]]), np.array([0, 1]))
-        m = int(resolution)
-        if m < 2:
-            raise ValueError("resolution must be >= 2 per boundary component")
-        if self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            nodes, weights, normals, comp = [], [], [], []
-            edges = [  # (start, direction, length, inward normal)
-                ((x0, y0), (1.0, 0.0), x1 - x0, (0.0, 1.0)),
-                ((x1, y0), (0.0, 1.0), y1 - y0, (-1.0, 0.0)),
-                ((x1, y1), (-1.0, 0.0), x1 - x0, (0.0, -1.0)),
-                ((x0, y1), (0.0, -1.0), y1 - y0, (1.0, 0.0)),
-            ]
-            for e, (start, dvec, length, nvec) in enumerate(edges):
-                s = (np.arange(m) + 0.5) / m * length
-                nodes.append(np.array(start) + s[:, None] * np.array(dvec))
-                weights.append(np.full(m, length / m))
-                normals.append(np.tile(nvec, (m, 1)))
-                comp.append(np.full(m, e, dtype=int))
-            return BoundaryQuadrature(np.concatenate(nodes), np.concatenate(weights),
-                                      np.concatenate(normals), np.concatenate(comp))
-        if self.kind == "disk":
-            cx, cy, r = self.params
-            th = 2 * math.pi * (np.arange(m) + 0.5) / m
-            unit = np.stack([np.cos(th), np.sin(th)], axis=1)
-            nodes = [cx, cy] + r * unit
-            return BoundaryQuadrature(nodes, np.full(m, 2 * math.pi * r / m),
-                                      -unit, np.zeros(m, dtype=int))
-        cx, cy, ri, ro = self.params
-        th = 2 * math.pi * (np.arange(m) + 0.5) / m
-        unit = np.stack([np.cos(th), np.sin(th)], axis=1)
-        inner = [cx, cy] + ri * unit
-        outer = [cx, cy] + ro * unit
-        nodes = np.concatenate([inner, outer])
-        weights = np.concatenate([np.full(m, 2 * math.pi * ri / m),
-                                  np.full(m, 2 * math.pi * ro / m)])
-        normals = np.concatenate([unit, -unit])
-        comp = np.concatenate([np.zeros(m, dtype=int), np.ones(m, dtype=int)])
-        return BoundaryQuadrature(nodes, weights, normals, comp)
+        m = _nodes_per_piece(resolution)
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        nodes, weights, normals, comp = [], [], [], []
+        edges = [  # (start, direction, length, inward normal)
+            ((x0, y0), (1.0, 0.0), x1 - x0, (0.0, 1.0)),
+            ((x1, y0), (0.0, 1.0), y1 - y0, (-1.0, 0.0)),
+            ((x1, y1), (-1.0, 0.0), x1 - x0, (0.0, -1.0)),
+            ((x0, y1), (0.0, -1.0), y1 - y0, (1.0, 0.0)),
+        ]
+        for e, (start, dvec, length, nvec) in enumerate(edges):
+            s = (np.arange(m) + 0.5) / m * length
+            nodes.append(np.array(start) + s[:, None] * np.array(dvec))
+            weights.append(np.full(m, length / m))
+            normals.append(np.tile(nvec, (m, 1)))
+            comp.append(np.full(m, e, dtype=int))
+        return BoundaryQuadrature(np.concatenate(nodes), np.concatenate(weights),
+                                  np.concatenate(normals), np.concatenate(comp))
 
     def interior_quadrature(self, resolution=1000):
-        """Volume quadrature; ``resolution`` = nodes per axis.
+        """Trapezoid rule on the tensor grid with ``resolution`` nodes per axis."""
+        rules = [_trapezoid(lo, hi, resolution) for lo, hi in zip(self.lo, self.hi)]
+        mesh = np.meshgrid(*(x for x, _ in rules), indexing="ij", copy=False)
+        weights = functools.reduce(np.multiply.outer, (w for _, w in rules))
+        return InteriorQuadrature(np.stack(mesh, axis=-1).reshape(-1, self.dim), weights.ravel())
 
-        Trapezoid rule on a tensor grid (cartesian for interval/rectangle,
-        polar for disk/annulus).  Total weight is exact for all four shapes.
-        """
-        n = int(resolution)
-        if n < 2:
-            raise ValueError("resolution must be >= 2 per axis")
 
-        def trap(lo, hi, m):
-            x = np.linspace(lo, hi, m)
-            w = np.full(m, (hi - lo) / (m - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            return x, w
+@dataclass(frozen=True, repr=False)
+class Ring(Domain):
+    """The region r_inner < |x - origin| < r_outer; a disk when r_inner = 0."""
 
-        if self.kind == "interval":
-            a, b = self.params
-            x, w = trap(a, b, n)
-            return InteriorQuadrature(x.reshape(-1, 1), w)
-        if self.kind == "rectangle":
-            x0, y0, x1, y1 = self.params
-            x, wx = trap(x0, x1, n)
-            y, wy = trap(y0, y1, n)
-            X, Y = np.meshgrid(x, y, indexing="ij")
-            W = np.outer(wx, wy)
-            return InteriorQuadrature(np.stack([X.ravel(), Y.ravel()], axis=1), W.ravel())
-        if self.kind == "disk":
-            cx, cy, ro = self.params
-            ri = 0.0
-        else:
-            cx, cy, ri, ro = self.params
-        r, wr = trap(ri, ro, n)
+    origin: tuple
+    r_inner: float
+    r_outer: float
+
+    dim = 2
+    coordinate_range = (0.0, 2 * math.pi)
+
+    def __repr__(self):
+        if self.has_inner:
+            return f"annulus{self.origin + (self.r_inner, self.r_outer)}"
+        return f"disk{self.origin + (self.r_outer,)}"
+
+    @property
+    def has_inner(self):
+        """Whether the inner circle is part of the boundary (False for a disk)."""
+        return self.r_inner > 0
+
+    @property
+    def diameter(self):
+        return 2.0 * self.r_outer
+
+    @property
+    def volume(self):
+        return math.pi * (self.r_outer ** 2 - self.r_inner ** 2)
+
+    @property
+    def surface_measure(self):
+        return 2.0 * math.pi * (self.r_inner + self.r_outer)
+
+    @property
+    def bounding_box(self):
+        c = np.array(self.origin)
+        return c - self.r_outer, c + self.r_outer
+
+    @property
+    def center(self):
+        if self.has_inner:  # midpoint of the annular gap, on the positive x axis
+            return np.array([self.origin[0] + (self.r_inner + self.r_outer) / 2.0,
+                             self.origin[1]])
+        return np.array(self.origin)
+
+    def _signed_distance(self, pts):
+        rho = np.hypot(pts[:, 0] - self.origin[0], pts[:, 1] - self.origin[1])
+        sd = self.r_outer - rho
+        return np.minimum(rho - self.r_inner, sd) if self.has_inner else sd
+
+    def _project(self, pts):
+        v = pts - self.origin
+        rho = np.linalg.norm(v, axis=1, keepdims=True)
+        # a point at the exact origin projects along +x by convention
+        v = np.where(rho > 0, v, [1.0, 0.0])
+        rho = np.where(rho > 0, rho, 1.0)
+        target = self.r_outer
+        if self.has_inner:
+            target = np.where(np.abs(rho - self.r_inner) <= np.abs(rho - self.r_outer),
+                              self.r_inner, self.r_outer)
+        return self.origin + v / rho * target
+
+    def _normal(self, pts):
+        v = pts - self.origin
+        rho = np.linalg.norm(v, axis=1, keepdims=True)
+        unit = v / rho
+        if not self.has_inner:
+            return -unit
+        on_inner = np.abs(rho[:, 0] - self.r_inner) <= np.abs(rho[:, 0] - self.r_outer)
+        return np.where(on_inner[:, None], unit, -unit)
+
+    def _coordinate(self, pts):
+        dx, dy = pts[:, 0] - self.origin[0], pts[:, 1] - self.origin[1]
+        coord = np.mod(np.arctan2(dy, dx), 2 * math.pi)
+        if not self.has_inner:
+            return coord, np.zeros(len(pts), dtype=int)
+        rho = np.hypot(dx, dy)
+        return coord, (np.abs(rho - self.r_outer) < np.abs(rho - self.r_inner)).astype(int)
+
+    def boundary_quadrature(self, resolution=400):
+        """Midpoint rule with ``resolution`` nodes on each circle, inner circle first."""
+        m = _nodes_per_piece(resolution)
+        th = 2 * math.pi * (np.arange(m) + 0.5) / m
+        unit = np.stack([np.cos(th), np.sin(th)], axis=1)
+        # (radius, sign of the inward normal along the outward radial direction)
+        circles = ([(self.r_inner, 1.0)] if self.has_inner else []) + [(self.r_outer, -1.0)]
+        return BoundaryQuadrature(
+            np.concatenate([self.origin + r * unit for r, _ in circles]),
+            np.concatenate([np.full(m, 2 * math.pi * r / m) for r, _ in circles]),
+            np.concatenate([s * unit for _, s in circles]),
+            np.repeat(np.arange(len(circles)), m))
+
+    def interior_quadrature(self, resolution=1000):
+        """Trapezoid rule on the polar grid with ``resolution`` nodes per axis."""
+        r, wr = _trapezoid(self.r_inner, self.r_outer, resolution)
+        n = len(r)
         th = 2 * math.pi * np.arange(n) / n
-        wth = 2 * math.pi / n
         R, TH = np.meshgrid(r, th, indexing="ij")
-        X = cx + R * np.cos(TH)
-        Y = cy + R * np.sin(TH)
-        W = np.outer(wr * r, np.full(n, wth))
+        X = self.origin[0] + R * np.cos(TH)
+        Y = self.origin[1] + R * np.sin(TH)
+        W = np.outer(wr * r, np.full(n, 2 * math.pi / n))
         return InteriorQuadrature(np.stack([X.ravel(), Y.ravel()], axis=1), W.ravel())

@@ -112,7 +112,8 @@ class MuSampler:
     """Rejection sampler for the redistribution density.
 
     Proposes uniformly on the bounding box against a precomputed bound
-    M = 1.05 * max(mu) over a dense sample; raises SamplingError when the
+    M = 1.05 * max(mu) over a dense sample; raises SamplingError when a
+    proposal's density exceeds M (the draws would not follow mu) or when the
     acceptance rate collapses below 1e-4.
     """
 
@@ -140,13 +141,19 @@ class MuSampler:
             u = rng.random(m)
             dens = np.where(self.domain.contains(pts),
                             self.mu.eval(pts, (0,) * self.dim), -1.0)
+            peak = dens.max()
+            if peak > self.bound:
+                raise SamplingError(
+                    f"redistribution density {peak:.4g} exceeds the rejection bound "
+                    f"{self.bound:.4g}; the density peaks between the sample points")
             good = u * self.bound < dens
-            take = min(int(good.sum()), size - filled)
+            n_good = int(good.sum())
+            take = min(n_good, size - filled)
             if take:
                 out[filled:filled + take] = pts[good][:take]
                 filled += take
             proposed += m
-            accepted += int(good.sum())
+            accepted += n_good
             if proposed >= max(20000, 4 * size) and accepted < 1e-4 * proposed:
                 raise SamplingError(
                     f"rejection acceptance rate {accepted / proposed:.2e} below 1e-4; "
@@ -245,12 +252,11 @@ def _simulate_chunk(chunk_index, n_lanes, x0, coeffs, domain, cfg,
         raise ValidationError("bridge-corrected exit detection is 1D only")
     sdt = math.sqrt(cfg.delta * cfg.dt)
     horizon = cfg.horizon_steps
-    is_interval = domain.kind == "interval"
+    is_interval = d == 1
     if is_interval:
-        lo_dom, hi_dom = domain.params
-    xl = xr = near_tol = a_max = None
+        (xl,), (xr,) = domain.lo, domain.hi
+    near_tol = a_max = None
     if bridge:
-        xl, xr = domain.params
         # lanes further than this from both endpoints cannot fire the bridge
         if kin.a00_const is not None:
             a_max = kin.a00_const
@@ -280,7 +286,7 @@ def _simulate_chunk(chunk_index, n_lanes, x0, coeffs, domain, cfg,
 
         if is_interval:
             xn0 = xn[:, 0]
-            outside = (xn0 <= lo_dom) | (xn0 >= hi_dom)
+            outside = (xn0 <= xl) | (xn0 >= xr)
         else:
             outside = ~domain.contains(xn)
         if any_jump:
@@ -423,12 +429,7 @@ class ExitLawEstimate:
 def _default_bin_edges(domain: Domain, bins):
     if not np.isscalar(bins):
         return np.asarray(bins, dtype=float)
-    if domain.kind == "interval":
-        a, b = domain.params
-        return np.linspace(a, b, int(bins) + 1)
-    if domain.kind in ("disk", "annulus"):
-        return np.linspace(0.0, 2 * math.pi, int(bins) + 1)
-    return np.linspace(0.0, domain.surface_measure, int(bins) + 1)
+    return np.linspace(*domain.coordinate_range, int(bins) + 1)
 
 
 def estimate_exit_law(x0, coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,

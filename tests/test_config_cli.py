@@ -27,12 +27,13 @@ ASYM_CONFIG = {
 
 
 def test_parse_domain_kinds():
-    assert parse_domain({"kind": "interval", "a": 0, "b": 2}).kind == "interval"
-    assert parse_domain({"kind": "rectangle", "x0": 0, "y0": 0, "x1": 1, "y1": 2}).volume == 2
-    d = parse_domain({"kind": "disk", "center": [1, 1], "radius": 0.5})
-    assert d.params == (1.0, 1.0, 0.5)
-    a = parse_domain({"kind": "annulus", "r_inner": 0.5, "r_outer": 1.0})
-    assert a.dim == 2
+    assert parse_domain({"kind": "interval", "a": 0, "b": 2}) == Domain.interval(0, 2)
+    assert parse_domain({"kind": "rectangle", "x0": 0, "y0": 0, "x1": 1, "y1": 2}) \
+        == Domain.rectangle(0, 0, 1, 2)
+    assert parse_domain({"kind": "disk", "center": [1, 1], "radius": 0.5}) \
+        == Domain.disk(1, 1, 0.5)
+    assert parse_domain({"kind": "annulus", "r_inner": 0.5, "r_outer": 1.0}) \
+        == Domain.annulus(0, 0, 0.5, 1.0)
     with pytest.raises(ConfigError):
         parse_domain({"kind": "triangle"})
     with pytest.raises(ConfigError):
@@ -59,7 +60,8 @@ def test_field_grammar():
 @pytest.mark.parametrize("node", [
     {"trig": {}}, {"dist_power": {}}, {"scale": {"by": 2}}, {"poly": [1, 2]}, {"sum": 3},
     {"poly": {"1": "x"}}, {"const": "a"}, {"trig": {"freq": [1, 2]}}, {"sum": []},
-    {"dist_power": {"m": float("inf")}},
+    {"dist_power": {"m": float("inf")}}, True, {"dist_power": {"m": -1}},
+    {"dist_power": {"m": 1.5}},
 ])
 def test_field_grammar_errors_are_config_errors(node):
     with pytest.raises(ConfigError):
@@ -255,6 +257,18 @@ def test_cli_probe_smoke(tmp_path):
 
 def test_cli_requires_problem():
     assert main(["theory"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--workers", "4"],
+    ["eigen", "--preset", "interval-k0-uniform", "--delta", "1e-3", "--workers", "2"],
+    ["sweep", "--preset", "interval-k0-uniform", "--seed", "3"],
+])
+def test_cli_rejects_flags_the_command_does_not_read(argv):
+    # only mc and sweep spread Monte Carlo over workers, and only mc takes a seed
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

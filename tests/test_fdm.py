@@ -73,7 +73,7 @@ def test_annulus_operator_exact_on_r_squared():
     grid = fdm.build_grid(spec.domain, 41, n_angular=16)
     delta = 0.3
     A, B = fdm.assemble_local(delta, spec.coeffs, grid, allow_coarse=True)
-    r2 = np.sum((grid.points - spec.domain.params[:2]) ** 2, axis=1)
+    r2 = np.sum((grid.points - spec.domain.origin) ** 2, axis=1)
     out = A @ r2[grid.interior] + B @ r2[grid.boundary]
     V = spec.coeffs.intensity.eval(grid.points[grid.interior], (0, 0))
     assert np.allclose(out, 2 * delta - V * r2[grid.interior], rtol=0, atol=1e-10)

@@ -64,7 +64,7 @@ def test_rectangle_quadrature_perimeter():
     assert abs(q.weights.sum() - 4.0) <= 1e-10
 
 
-@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=lambda d: f"{d.kind}{d.params}")
+@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=repr)
 def test_boundary_quadrature_invariants(dom):
     q = dom.boundary_quadrature(64)
     assert abs(q.weights.sum() - dom.surface_measure) <= 1e-8 * dom.surface_measure
@@ -78,20 +78,30 @@ def test_boundary_quadrature_invariants(dom):
     assert np.all(dom.contains(q.nodes + eps * q.normals))
 
 
-@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=lambda d: f"{d.kind}{d.params}")
+@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=repr)
+def test_boundary_methods_agree_with_quadrature(dom):
+    q = dom.boundary_quadrature(64)
+    coord, comp = dom.boundary_coordinate(q.nodes)
+    assert np.array_equal(comp, q.component)
+    assert np.allclose(dom.inward_normal(q.nodes), q.normals, rtol=0, atol=1e-12)
+    lo, hi = dom.coordinate_range
+    assert np.all((lo <= coord) & (coord <= hi))
+
+
+@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=repr)
 def test_boundary_quadrature_refinement(dom):
     s1 = dom.boundary_quadrature(40).weights.sum()
     s2 = dom.boundary_quadrature(80).weights.sum()
     assert abs(s2 - s1) <= 10.0 * dom.surface_measure / 40**2
 
 
-@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=lambda d: f"{d.kind}{d.params}")
+@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=repr)
 def test_interior_quadrature_volume(dom):
     iq = dom.interior_quadrature(200)
     assert abs(iq.weights.sum() - dom.volume) <= 1e-6 * dom.volume
 
 
-@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=lambda d: f"{d.kind}{d.params}")
+@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=repr)
 def test_projection_lands_on_boundary(dom):
     rng = np.random.default_rng(0)
     lo, hi = dom.bounding_box
@@ -100,7 +110,7 @@ def test_projection_lands_on_boundary(dom):
     assert np.max(np.abs(dom.signed_distance(proj))) <= 1e-12 * dom.diameter
 
 
-@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=lambda d: f"{d.kind}{d.params}")
+@pytest.mark.parametrize("dom", ALL_DOMAINS, ids=repr)
 def test_signed_distance_matches_projection_distance(dom):
     rng = np.random.default_rng(1)
     lo, hi = dom.bounding_box

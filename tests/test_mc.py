@@ -55,6 +55,24 @@ def test_sampler_rejects_hopeless_density():
         sampler.draw(rng(4), 5000)
 
 
+def test_sampler_rejects_density_above_its_bound():
+    # half the mass in a spike of width 1e-5 that the 2048-point sample misses:
+    # the bound is 0.525, and the ~1e-4 of proposals that land in the spike exceed it
+    from jumplab import CallableField, CoefficientSet, MatrixField, VectorField, const
+    dom = Domain.interval(0.0, 1.0)
+    s = 1e-5
+    mu = CallableField(
+        lambda x: 0.5 + 0.5 * np.exp(-((x - 0.5) ** 2) / (2 * s * s)) / math.sqrt(2 * math.pi * s * s),
+        dom, max_order=0)
+    c = CoefficientSet(diffusion=MatrixField.identity(1), drift=VectorField.zero(1),
+                       intensity=const(1, 1.0), redistribution=mu,
+                       boundary_data=const(1, 0.0), vanishing_order=0)
+    sampler = mc.MuSampler(c, dom)
+    assert sampler.bound == pytest.approx(0.525, rel=1e-3)
+    with pytest.raises(mc.SamplingError, match="exceeds the rejection bound"):
+        sampler.draw(rng(4), 10**5)
+
+
 # -- Euler step ---------------------------------------------------------------
 
 def test_step_moments_match_drift_and_covariance():
