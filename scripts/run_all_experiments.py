@@ -90,8 +90,7 @@ def main(argv=None):
                            exit_mode="bridge-1d",
                            horizon=ex._horizon_from_theory(spec, 0.05),
                            chunk_size=50000)
-        rep = ex.compare_mc_fdm(spec, 0.05, mc_config=cfg, grid_factor=0.02,
-                                workers=w)
+        rep = ex.compare_mc_fdm(spec, 0.05, mc_config=cfg, workers=w)
         summary[f"mc-fdm-{name}"] = {"detail": rep.detail, "pass": rep.passed,
                                      "diff_over_se": rep.diff_over_se}
         log(f"  {name}: {rep.detail} -> {'PASS' if rep.passed else 'FAIL'}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,12 +16,40 @@ import numpy as np
 
 from . import experiments, fdm, mc
 from .config import build_problem, load_config
-from .errors import JumplabError
+from .errors import ConfigError, JumplabError
 from .presets import PRESET_NAMES, preset
 
 
+def _deltas(items, source):
+    """A non-empty list of finite deltas > 0, from ``--delta`` or ``experiment.deltas``."""
+    if not isinstance(items, list):
+        raise ConfigError(f"{source} must be a list of deltas, got {items!r}")
+    try:
+        deltas = [float(d) for d in items]
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    if not deltas or not all(math.isfinite(d) and d > 0 for d in deltas):
+        raise ConfigError(f"{source} must list finite deltas > 0, got {items!r}")
+    return deltas
+
+
 def _parse_deltas(text):
-    return [float(t) for t in text.split(",") if t.strip()]
+    return _deltas([t for t in text.split(",") if t.strip()], "--delta")
+
+
+def _section(doc, name):
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"the {name!r} section must be an object, got {section!r}")
+    return section
+
+
+def _mc_setting(section, key, default, kinds):
+    """``section[key]`` if it is one of ``kinds`` (never a bool), else ConfigError."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"mc.{key} has the wrong type: {value!r}")
+    return value
 
 
 def _load_spec(args):
@@ -52,11 +81,10 @@ def _dump_json(payload, path):
         fh.write("\n")
 
 
-def _grid(spec, args, delta, factor=0.03):
-    if args.grid_n:
-        return fdm.build_grid(spec.domain, args.grid_n, n_angular=args.grid_angular)
-    n = fdm.suggest_resolution(spec.domain, delta, spec.coeffs, factor=factor)
-    return fdm.build_grid(spec.domain, n, n_angular=args.grid_angular)
+def _grid(spec, args, delta):
+    n = args.grid_n or fdm.suggest_resolution(spec.domain, delta, spec.coeffs, factor=0.03)
+    angular = {} if args.grid_angular is None else {"n_angular": args.grid_angular}
+    return fdm.build_grid(spec.domain, n, **angular)
 
 
 def cmd_theory(args):
@@ -117,16 +145,19 @@ def cmd_eigen(args):
 def cmd_mc(args):
     spec, doc = _load_spec_and_doc(args)
     spec.validate()
-    section = doc.get("mc", {})
+    section = _section(doc, "mc")
     delta = _parse_deltas(args.delta)[0]
-    dt = args.dt if args.dt is not None else section.get("dt", 1e-3)
-    paths = args.paths if args.paths is not None else section.get("paths", 10000)
+    number = (int, float)
+    dt = args.dt if args.dt is not None else _mc_setting(section, "dt", 1e-3, number)
+    paths = args.paths if args.paths is not None \
+        else _mc_setting(section, "paths", 10000, int)
     exit_mode = args.exit_mode if args.exit_mode is not None \
-        else section.get("exit_mode", "first-crossing")
-    horizon = args.horizon if args.horizon is not None else section.get("horizon")
+        else _mc_setting(section, "exit_mode", "first-crossing", str)
+    horizon = args.horizon if args.horizon is not None \
+        else _mc_setting(section, "horizon", None, number + (type(None),))
     cfg = mc.SimConfig(delta=delta, dt=dt, n_paths=paths, seed=args.seed,
                        exit_mode=exit_mode, horizon=horizon,
-                       chunk_size=section.get("chunk_size", 32768))
+                       chunk_size=_mc_setting(section, "chunk_size", 32768, int))
     bins = args.bins if args.bins else (2 if spec.domain.dim == 1 else 36)
     est = mc.estimate_exit_law(spec.start_point(), spec.coeffs, spec.domain, cfg,
                                bins=bins, workers=args.workers)
@@ -151,11 +182,11 @@ def cmd_mc(args):
 
 def cmd_sweep(args):
     spec, doc = _load_spec_and_doc(args)
-    section = doc.get("experiment", {})
+    section = _section(doc, "experiment")
     if args.delta:
         deltas = _parse_deltas(args.delta)
     elif "deltas" in section:
-        deltas = [float(d) for d in section["deltas"]]
+        deltas = _deltas(section["deltas"], "experiment.deltas")
     else:
         deltas = list(experiments.DEFAULT_DELTAS)
     kind = args.experiment if args.experiment is not None else section.get("kind")
@@ -181,7 +212,10 @@ def cmd_sweep(args):
 
 
 def cmd_probe(args):
-    ms = [int(t) for t in args.m.split(",")]
+    try:
+        ms = [int(t) for t in args.m.split(",")]
+    except ValueError:
+        raise ConfigError(f"--m must list integer orders, got {args.m!r}") from None
     deltas = _parse_deltas(args.delta) if args.delta else list(experiments.DEFAULT_DELTAS)
     results, summary = experiments.run_probe_suite(
         lambda m: preset(f"probe-Vm{m}"), ms=ms, deltas=deltas)
@@ -231,7 +265,8 @@ def build_parser():
         sp.add_argument("--format", choices=("csv", "json"), default="json")
         sp.add_argument("--grid-n", type=int, dest="grid_n",
                         help="nodes per axis (default: resolve the boundary layer)")
-        sp.add_argument("--grid-angular", type=int, dest="grid_angular", default=64)
+        sp.add_argument("--grid-angular", type=int, dest="grid_angular",
+                        help="angular nodes of disk and annulus grids")
 
     def workers(sp):
         sp.add_argument("--workers", type=int, default=1,

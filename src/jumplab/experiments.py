@@ -2,10 +2,12 @@
 
 Every experiment validates its problem first, runs the solvers over a delta
 list in order, and returns a SweepResult: tabular rows, an optional power-law
-fit, and named pass/fail checks.  ``workers`` exists only where a Monte Carlo
-ensemble runs, and spreads its chunks over processes.  CSV and JSON writers
-format floats with repr, so reruns with a fixed configuration are
-byte-identical at any worker count.
+fit, and named pass/fail checks.  The check tolerances are the module
+constants below, the boundary data is the problem's own, and the Monte Carlo
+legs of the exit-law sweep use one fixed configuration.  ``workers`` exists
+only where a Monte Carlo ensemble runs, and spreads its chunks over
+processes.  CSV and JSON writers format floats with repr, so reruns with a
+fixed configuration are byte-identical at any worker count.
 """
 from __future__ import annotations
 
@@ -28,6 +30,11 @@ DEFAULT_DELTAS = (1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4)
 #: acceptance targets (k = 0, 1, 2); higher orders fall back to the last row.
 EXPONENT_WINDOW = {0: 0.02, 1: 0.03, 2: 0.05}
 PREFACTOR_RTOL = {0: 0.02, 1: 0.03, 2: 0.05}
+
+X_INDEPENDENCE_RTOL = 0.02   # exit law at two start points, smallest delta
+FLUX_VALUE_RTOL = 0.03       # scaled boundary flux against -sqrt(2 V n.an)
+FLUX_UNIFORMITY_TOL = 1e-6   # relative node spread over a ring's outer circle
+DECAY_SLOPE_RTOL = 0.05      # interior decay slope against its expected value
 
 
 @dataclass(frozen=True)
@@ -99,9 +106,9 @@ def theory_report(spec: ProblemSpec):
     }
 
 
-def _grid_for(spec: ProblemSpec, delta, factor, cap=400001, n_angular=64):
-    n = fdm.suggest_resolution(spec.domain, delta, spec.coeffs, factor=factor, cap=cap)
-    return fdm.build_grid(spec.domain, n, n_angular=n_angular)
+def _grid_for(spec: ProblemSpec, delta, factor):
+    n = fdm.suggest_resolution(spec.domain, delta, spec.coeffs, factor=factor)
+    return fdm.build_grid(spec.domain, n)
 
 
 def _rel(a, b):
@@ -113,24 +120,22 @@ def _rel(a, b):
 
 
 def run_exit_law_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS, x0=None,
-                            x0_alt=None, f=None, grid_factor=0.03,
-                            x_independence_rtol=0.02, mc_config=None,
-                            workers=1) -> SweepResult:
-    """Convergence of the exit functional to its small-diffusion limit.
+                            x0_alt=None, grid_factor=0.03, workers=1) -> SweepResult:
+    """Convergence of the exit functional of the boundary data to its limit.
 
     Solves the nonlocal Dirichlet problem at each delta, runs a Monte Carlo
-    cross-check at the largest delta, and appends the limit value.  Checks:
-    the gap to the limit shrinks along the sweep, two start points agree at
-    the smallest delta, and the MC mean is within 3 standard errors.
+    cross-check at the largest delta (20000 paths, dt = 1e-3, seed 7), and
+    appends the limit value.  Checks: the gap to the limit shrinks along the
+    sweep, two start points agree at the smallest delta, and the MC mean is
+    within 3 standard errors.  ``x0_alt`` defaults to the midpoint of ``x0``
+    and the domain centre.
     """
     spec.validate()
     deltas = sorted(deltas, reverse=True)
     x0 = np.asarray(x0 if x0 is not None else spec.start_point(), dtype=float)
-    if x0_alt is None:
-        x0_alt = spec.domain.center / 2.0 + x0 / 2.0 if spec.domain.dim == 1 \
-            else (spec.domain.center + x0) / 2.0
-    x0_alt = np.asarray(x0_alt, dtype=float)
-    f = spec.coeffs.boundary_data if f is None else f
+    x0_alt = np.asarray((spec.domain.center + x0) / 2.0 if x0_alt is None else x0_alt,
+                        dtype=float)
+    f = spec.coeffs.boundary_data
 
     quad, iquad = theory_quadratures(spec.domain)
     density = theory.limit_exit_density(spec.coeffs, quad)
@@ -144,10 +149,9 @@ def run_exit_law_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS, x0=None,
     vals = [solve_point(d) for d in deltas]
     rows = [SweepRow(d, "fdm", "phi", v[0]) for d, v in zip(deltas, vals)]
 
-    cfg = mc_config or mc.SimConfig(delta=deltas[0], dt=1e-3, n_paths=20000,
-                                    seed=7, exit_mode="bridge-1d" if spec.domain.dim == 1
-                                    else "first-crossing",
-                                    horizon=_horizon_from_theory(spec, deltas[0]))
+    cfg = mc.SimConfig(delta=deltas[0], dt=1e-3, n_paths=20000, seed=7,
+                       exit_mode="bridge-1d" if spec.domain.dim == 1 else "first-crossing",
+                       horizon=_horizon_from_theory(spec, deltas[0]))
     est = mc.estimate_exit_law(x0, spec.coeffs, spec.domain, cfg, f=f, workers=workers)
     rows.append(SweepRow(deltas[0], "mc", "phi", est.mean_f, est.stderr_f))
     rows.append(SweepRow(deltas[-1], "theory", "phi", phi0))
@@ -159,8 +163,8 @@ def run_exit_law_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS, x0=None,
     checks = [
         Check("gap_decreasing", monotone, gaps[-1], 0.0, 0.0,
               detail=f"|phi_fdm - phi0| along sweep: {[f'{g:.3e}' for g in gaps]}"),
-        Check("x_independence", xdiff <= x_independence_rtol, xdiff, 0.0,
-              x_independence_rtol,
+        Check("x_independence", xdiff <= X_INDEPENDENCE_RTOL, xdiff, 0.0,
+              X_INDEPENDENCE_RTOL,
               detail=f"phi({x0_alt})={vals[-1][1]:.6f} vs phi({x0})={vals[-1][0]:.6f} "
                      f"at delta={deltas[-1]:g}"),
         Check("mc_within_3se", mc_gap <= 3 * est.stderr_f + 1e-30, mc_gap, 0.0,
@@ -188,22 +192,30 @@ def _horizon_from_theory(spec: ProblemSpec, delta):
 # eigenvalue scaling experiment
 
 
+def _eigen_sweep(spec: ProblemSpec, deltas, grid_factor):
+    """lambda0 at each delta, in the given order, as rows plus its power-law fit."""
+    lams = [fdm.principal_eigenvalue(d, spec.coeffs, _grid_for(spec, d, grid_factor)).lambda0
+            for d in deltas]
+    rows = [SweepRow(d, "fdm", "lambda0", v) for d, v in zip(deltas, lams)]
+    return lams, rows, fit_power_law(deltas, lams)
+
+
 def run_eigenvalue_scaling_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
-                                      grid_factor=0.03, prefactor_delta=None,
-                                      exponent_window=None,
-                                      prefactor_rtol=None) -> SweepResult:
+                                      grid_factor=0.03,
+                                      prefactor_delta=None) -> SweepResult:
     """Decay-rate scaling lambda0 ~ C * delta^{(k+1)/2} against the limit formulas.
 
     The scaling is a delta -> 0 limit, and lambda0 approaches it with a
     relative O(sqrt(delta)) correction.  Checks:
 
-    - ``exponent_window``: the log-log OLS exponent is within the window of
-      (k+1)/2;
+    - ``exponent_window``: the log-log OLS exponent is within
+      ``EXPONENT_WINDOW[k]`` of (k+1)/2;
     - ``exponent_limit_contains_theory``: the segment exponents of the three
       smallest deltas, extrapolated linearly in sqrt(delta) to delta = 0,
       reach (k+1)/2 within the size of that extrapolation;
     - ``prefactor``: lambda0 * delta^{-(k+1)/2} at ``prefactor_delta``
-      (default: the smallest sweep delta) matches the closed-form prefactor.
+      (default: the smallest sweep delta) matches the closed-form prefactor
+      within ``PREFACTOR_RTOL[k]``.
 
     The bootstrap CI of the OLS exponent is reported on the fit but not
     asserted: it measures the scatter about one power law, not the distance
@@ -213,22 +225,15 @@ def run_eigenvalue_scaling_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
     deltas = sorted(deltas, reverse=True)
     k = spec.coeffs.vanishing_order
     expo_target = (k + 1) / 2.0
-    window = EXPONENT_WINDOW.get(k, 0.05) if exponent_window is None else exponent_window
-    rtol = PREFACTOR_RTOL.get(k, 0.05) if prefactor_rtol is None else prefactor_rtol
+    window = EXPONENT_WINDOW.get(k, 0.05)
+    rtol = PREFACTOR_RTOL.get(k, 0.05)
     prefactor_delta = deltas[-1] if prefactor_delta is None else prefactor_delta
     if prefactor_delta not in deltas:
         raise ValidationError("prefactor_delta must be one of the sweep deltas")
 
     quad, iquad = theory_quadratures(spec.domain)
     pref_theory = theory.decay_rate_prefactor(spec.coeffs, quad, iquad)
-
-    def lam(d):
-        grid = _grid_for(spec, d, grid_factor)
-        return fdm.principal_eigenvalue(d, spec.coeffs, grid).lambda0
-
-    lams = [lam(d) for d in deltas]
-    rows = [SweepRow(d, "fdm", "lambda0", v) for d, v in zip(deltas, lams)]
-    fit = fit_power_law(deltas, lams)
+    lams, rows, fit = _eigen_sweep(spec, deltas, grid_factor)
 
     i = deltas.index(prefactor_delta)
     pref_meas = lams[i] * prefactor_delta ** (-expo_target)
@@ -256,8 +261,7 @@ def run_eigenvalue_scaling_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
 
 
 def run_boundary_flux_experiment(spec: ProblemSpec, deltas=(1e-3, 1e-4, 1e-5),
-                                 grid_factor=0.04, n_angular=64,
-                                 value_rtol=0.03, uniformity_tol=1e-6) -> SweepResult:
+                                 grid_factor=0.04) -> SweepResult:
     """Scaled boundary flux of the no-jump problem against -sqrt(2 V (n.an)).
 
     Rows carry sqrt(delta) * (n . a grad u) at the first boundary node; the
@@ -268,16 +272,14 @@ def run_boundary_flux_experiment(spec: ProblemSpec, deltas=(1e-3, 1e-4, 1e-5),
     deltas = sorted(deltas, reverse=True)
 
     def fluxes(d):
-        grid = _grid_for(spec, d, grid_factor, n_angular=n_angular)
-        u = fdm.solve_no_jump_prob(d, spec.coeffs, grid)
-        bf = fdm.boundary_flux(u, spec.coeffs)
-        return bf
+        u = fdm.solve_no_jump_prob(d, spec.coeffs, _grid_for(spec, d, grid_factor))
+        return u.grid, fdm.boundary_flux(u, spec.coeffs)
 
     results = [fluxes(d) for d in deltas]
     rows = [SweepRow(d, "fdm", "flux", math.sqrt(d) * bf.values[0])
-            for d, bf in zip(deltas, results)]
+            for d, (_, bf) in zip(deltas, results)]
 
-    bf = results[-1]
+    grid, bf = results[-1]
     d_min = deltas[-1]
     scaled = math.sqrt(d_min) * bf.values
     amat = spec.coeffs.diffusion(bf.nodes)
@@ -285,16 +287,16 @@ def run_boundary_flux_experiment(spec: ProblemSpec, deltas=(1e-3, 1e-4, 1e-5),
     vvals = spec.coeffs.intensity.eval(bf.nodes, (0,) * spec.domain.dim)
     target = -np.sqrt(2.0 * vvals * nan)
     rel_dev = np.abs(scaled - target) / np.abs(target)
-    checks = [Check("flux_value", float(np.max(rel_dev)) <= value_rtol,
-                    float(scaled[0]), float(target[0]), value_rtol,
+    checks = [Check("flux_value", float(np.max(rel_dev)) <= FLUX_VALUE_RTOL,
+                    float(scaled[0]), float(target[0]), FLUX_VALUE_RTOL,
                     detail=f"max relative deviation over the boundary: {np.max(rel_dev):.3e} "
                            f"at delta={d_min:g}")]
     if isinstance(spec.domain, Ring):
-        # outer component: last n_angular values by grid convention
-        outer = scaled[-n_angular:]
+        # outer component: the last ring of boundary nodes, one per angle
+        outer = scaled[-grid.shape[1]:]
         spread = float((outer.max() - outer.min()) / abs(outer.mean()))
-        checks.append(Check("flux_uniformity", spread <= uniformity_tol,
-                            spread, 0.0, uniformity_tol,
+        checks.append(Check("flux_uniformity", spread <= FLUX_UNIFORMITY_TOL,
+                            spread, 0.0, FLUX_UNIFORMITY_TOL,
                             detail=f"relative node spread over the outer ring: {spread:.3e}"))
     return SweepResult("boundary-flux", rows, checks,
                        meta={"preset": spec.name, "delta_min": d_min,
@@ -306,8 +308,7 @@ def run_boundary_flux_experiment(spec: ProblemSpec, deltas=(1e-3, 1e-4, 1e-5),
 
 
 def run_interior_decay_experiment(spec: ProblemSpec, deltas=(1e-2, 1e-3, 1e-4),
-                                  grid_factor=0.05, expected_slope=None,
-                                  slope_rtol=0.05) -> SweepResult:
+                                  grid_factor=0.05, expected_slope=None) -> SweepResult:
     """Decay of the no-jump probability at the domain center.
 
     Fits log u(center) against delta^{-1/2}; the slope is negative, and for
@@ -328,8 +329,9 @@ def run_interior_decay_experiment(spec: ProblemSpec, deltas=(1e-2, 1e-3, 1e-4),
     checks = [Check("decay_slope_negative", slope < 0.0, slope, 0.0, 0.0,
                     detail=f"log u(center) vs delta^-1/2 slope {slope:.5f}, R^2={r2:.6f}")]
     if expected_slope is not None:
-        checks.append(Check("decay_slope_value", _rel(slope, expected_slope) <= slope_rtol,
-                            slope, expected_slope, slope_rtol,
+        checks.append(Check("decay_slope_value",
+                            _rel(slope, expected_slope) <= DECAY_SLOPE_RTOL,
+                            slope, expected_slope, DECAY_SLOPE_RTOL,
                             detail=f"slope {slope:.5f} vs {expected_slope:.5f}"))
     return SweepResult("interior-decay", rows, checks,
                        meta={"slope": slope, "r_squared": r2, "preset": spec.name})
@@ -343,26 +345,19 @@ def run_vanishing_intensity_probe(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
                                   grid_factor=0.05) -> SweepResult:
     """Decay-rate order when the intensity vanishes on the boundary.
 
-    Emits the fitted order with its CI; deliberately asserts nothing about
-    the value (the scaling law here is an open problem; the data is the
-    product).
+    The eigenvalue sweep without the theory checks: emits the fitted order
+    with its CI and deliberately asserts nothing about the value (the
+    scaling law here is an open problem; the data is the product).  The
+    problem is not validated, since its intensity vanishes on the boundary.
     """
     deltas = sorted(deltas, reverse=True)
-
-    def lam(d):
-        grid = _grid_for(spec, d, grid_factor)
-        return fdm.principal_eigenvalue(d, spec.coeffs, grid).lambda0
-
-    lams = [lam(d) for d in deltas]
-    rows = [SweepRow(d, "fdm", "lambda0", v) for d, v in zip(deltas, lams)]
-    fit = fit_power_law(deltas, lams)
+    _, rows, fit = _eigen_sweep(spec, deltas, grid_factor)
     return SweepResult("vanishing-intensity-probe", rows, [], fit=fit,
                        meta={"preset": spec.name, "alpha": fit.exponent,
                              "alpha_ci": list(fit.exponent_ci)})
 
 
-def run_probe_suite(make_spec, ms=(1, 2, 3), deltas=DEFAULT_DELTAS,
-                    grid_factor=0.05):
+def run_probe_suite(make_spec, ms=(1, 2, 3), deltas=DEFAULT_DELTAS):
     """Probe several vanishing orders of the intensity; record the ordering.
 
     ``make_spec`` maps the order m to a ProblemSpec.  Returns (per-m results,
@@ -370,8 +365,7 @@ def run_probe_suite(make_spec, ms=(1, 2, 3), deltas=DEFAULT_DELTAS,
     """
     results = {}
     for m in ms:
-        results[m] = run_vanishing_intensity_probe(make_spec(m), deltas=deltas,
-                                                   grid_factor=grid_factor)
+        results[m] = run_vanishing_intensity_probe(make_spec(m), deltas=deltas)
     summary = {
         "alphas": {m: results[m].meta["alpha"] for m in ms},
         "alpha_cis": {m: results[m].meta["alpha_ci"] for m in ms},
@@ -397,19 +391,15 @@ class CompareReport:
     detail: str = ""
 
 
-def compare_mc_fdm(spec: ProblemSpec, delta, x0=None, f=None,
-                   mc_config=None, grid_factor=0.02, workers=1) -> CompareReport:
-    """Monte Carlo exit mean against the nonlocal Dirichlet solve at one point."""
+def compare_mc_fdm(spec: ProblemSpec, delta, mc_config, workers=1) -> CompareReport:
+    """Monte Carlo exit mean of the boundary data against the nonlocal Dirichlet
+    solve (grid factor 0.02), at the problem's start point."""
     spec.validate()
-    x0 = np.asarray(x0 if x0 is not None else spec.start_point(), dtype=float)
-    f = spec.coeffs.boundary_data if f is None else f
-    cfg = mc_config or mc.SimConfig(delta=delta, dt=1e-4, n_paths=10**5, seed=11,
-                                    exit_mode="bridge-1d" if spec.domain.dim == 1
-                                    else "first-crossing",
-                                    horizon=_horizon_from_theory(spec, delta))
-    est = mc.estimate_exit_law(x0, spec.coeffs, spec.domain, cfg, f=f, workers=workers)
-    grid = _grid_for(spec, delta, grid_factor)
-    sol = fdm.solve_exit_functional(delta, spec.coeffs, grid, f=f)
+    x0 = np.asarray(spec.start_point(), dtype=float)
+    f = spec.coeffs.boundary_data
+    est = mc.estimate_exit_law(x0, spec.coeffs, spec.domain, mc_config, f=f,
+                               workers=workers)
+    sol = fdm.solve_exit_functional(delta, spec.coeffs, _grid_for(spec, delta, 0.02), f=f)
     phi = sol.at(x0)
     diff = abs(est.mean_f - phi)
     ratio = diff / est.stderr_f if est.stderr_f > 0 else math.inf if diff > 0 else 0.0
@@ -435,22 +425,17 @@ def no_jump_mass_limit(spec: ProblemSpec):
     """
     quad, _ = theory_quadratures(spec.domain)
     density = theory.limit_exit_density(spec.coeffs, quad)
-    k = spec.coeffs.vanishing_order
-    divisor = math.sqrt(2.0) if k % 2 == 0 else 2.0
-    return density.normalization / divisor
+    return density.normalization / theory.parity_divisor(spec.coeffs.vanishing_order)
 
 
-def compare_no_jump_probability(spec: ProblemSpec, delta, mc_config=None,
+def compare_no_jump_probability(spec: ProblemSpec, delta, mc_config,
                                 grid_factor=0.03, workers=1) -> CompareReport:
     """MC estimate of P(exit before the first jump) vs the discrete mu-mass.
 
     Paths start from the redistribution density and stop at their first jump.
     """
     spec.validate()
-    cfg = mc_config or mc.SimConfig(delta=delta, dt=1e-4, n_paths=20000, seed=13,
-                                    exit_mode="bridge-1d" if spec.domain.dim == 1
-                                    else "first-crossing", horizon=None)
-    p, se = mc.exit_before_jump_probability(spec.coeffs, spec.domain, cfg,
+    p, se = mc.exit_before_jump_probability(spec.coeffs, spec.domain, mc_config,
                                             workers=workers)
     mass = discrete_no_jump_mass(spec, delta, grid_factor=grid_factor)
     diff = abs(p - mass)

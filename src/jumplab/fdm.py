@@ -117,12 +117,12 @@ def _trapezoid(x):
     return w
 
 
-def build_grid(domain: Domain, n, n_angular=None) -> Grid:
+def build_grid(domain: Domain, n, n_angular=64) -> Grid:
     """Tensor grid with ``n`` nodes per principal axis.
 
     Box grids take ``n`` or a per-axis tuple.  Polar grids take ``n`` radial
-    and ``n_angular`` angular nodes (default 64); the disk excises a small
-    core whose ring is closed by a reflecting face.
+    and ``n_angular`` angular nodes; the disk excises a small core whose ring
+    is closed by a reflecting face.
     """
     if isinstance(domain, Box):
         d = domain.dim
@@ -137,7 +137,7 @@ def build_grid(domain: Domain, n, n_angular=None) -> Grid:
         inner = domain.has_inner  # the disk's excised core ring reflects instead
         ro = domain.r_outer
         ri = domain.r_inner if inner else DISK_CORE_FRACTION * ro
-        shape = (int(n), int(n_angular) if n_angular else 64)
+        shape = (int(n), int(n_angular))
         if shape[0] < 3 or shape[1] < 8:
             raise ValidationError(f"polar grids need nr >= 3 and n_angular >= 8, got {shape}")
         r = np.linspace(ri, ro, shape[0])
@@ -172,19 +172,20 @@ def layer_scale(coeffs: CoefficientSet, grid: Grid):
     return amin, vmax
 
 
-def suggest_resolution(domain: Domain, delta, coeffs: CoefficientSet,
-                       factor=0.25, cap=400001):
+def suggest_resolution(domain: Domain, delta, coeffs: CoefficientSet, factor=0.25):
     """Nodes per axis so the spacing is ``factor`` times the layer width scale.
 
     Acceptance runs use factor <= 0.25; smaller factors cut the O(h^2)
-    discretization error further.
+    discretization error further.  At most 400,001.
     """
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValidationError(f"delta must be finite and > 0, got {delta!r}")
     probe = build_grid(domain, 11, 16)
     amin, vmax = layer_scale(coeffs, probe)
     h = factor * math.sqrt(delta * amin / vmax)
     # boundary layers sit across the axes with Dirichlet ends
     length = max(ax[-1] - ax[0] for ax, ends in zip(probe.axes, probe.dirichlet) if ends)
-    return int(min(cap, max(11, math.ceil(length / h) + 1)))
+    return int(min(400001, max(11, math.ceil(length / h) + 1)))
 
 
 def _check_layer_resolution(delta, coeffs, grid, allow_coarse):
@@ -413,14 +414,16 @@ class EigenResult:
 
 
 def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid,
-                         allow_coarse=False, rtol=1e-12, residual_tol=1e-10,
-                         max_iterations=10_000) -> EigenResult:
+                         allow_coarse=False) -> EigenResult:
     """Smallest decay rate of the killed process, by inverse power iteration.
 
     Homogeneous Dirichlet data: the redistribution row is restricted to
     interior nodes without renormalization (boundary values contribute
     nothing to the integral of a function vanishing there).  Each iteration
-    reuses the rank-one solve.
+    reuses the rank-one solve.  The iteration stops once the residual
+    ||M psi - lambda psi|| is at most 1e-10 and lambda moved by at most 1e-12
+    relative (plus the cancellation floor) in one step; 10,000 steps without
+    that raise SolverError.
     """
     op = assemble_operator(delta, coeffs, grid, allow_coarse=allow_coarse)
     solver = RankOneSolver(op.A_loc, op.v, op.w_interior)
@@ -434,7 +437,7 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid,
     lam_prev = None
     lam = None
     res = math.inf
-    for it in range(1, max_iterations + 1):
+    for it in range(1, 10_001):
         y = solver.solve(-psi)          # (-M) y = psi
         norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm == 0.0:
@@ -445,12 +448,12 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid,
         negM_psi = apply_negM(psi)
         lam = float(psi @ negM_psi)
         res = float(np.linalg.norm(negM_psi - lam * psi))
-        if (lam_prev is not None and res <= residual_tol
-                and abs(lam - lam_prev) <= rtol * abs(lam) + noise_floor):
+        if (lam_prev is not None and res <= 1e-10
+                and abs(lam - lam_prev) <= 1e-12 * abs(lam) + noise_floor):
             break
         lam_prev = lam
     else:
-        raise SolverError(f"inverse power iteration did not converge in {max_iterations} steps "
+        raise SolverError(f"inverse power iteration did not converge in 10000 steps "
                           f"(residual {res:.3e})")
     if lam <= 0:
         raise SolverError(f"nonpositive Rayleigh quotient {lam:.3e}: discretization failure")

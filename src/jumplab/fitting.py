@@ -5,8 +5,8 @@ fit window drops the largest scale while its deleted residual exceeds 3x the
 fit RMS.  That cuts grossly pre-asymptotic points, but it also fires on
 smooth curvature: on the acceptance eigenvalue sweeps it drops 2 of 5 points.
 
-The confidence interval is a percentile residual bootstrap (200 resamples by
-default).  It measures how well a single power law fits the window, not how
+The confidence interval is a 95% percentile residual bootstrap over 200
+resamples.  It measures how well a single power law fits the window, not how
 close the fitted exponent is to the delta -> 0 limit.  Solver data are
 deterministic and approach their power law with a relative O(sqrt(delta))
 correction, so the OLS exponent is biased by a few thousandths while the
@@ -24,6 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+
+N_BOOT = 200        # bootstrap resamples
+CI_LEVEL = 0.95     # two-sided level of the exponent CI
+MIN_POINTS = 3      # fewest scales a fit takes; the window rule keeps at least this many
 
 
 @dataclass(frozen=True)
@@ -55,18 +59,18 @@ def _ols_loglog(x, y):
     return slope, intercept, resid, r2
 
 
-def fit_power_law(deltas, values, n_boot=200, ci_level=0.95, seed=0,
-                  min_points=3) -> PowerLawFit:
+def fit_power_law(deltas, values, seed=0) -> PowerLawFit:
     """Fit values ~ C * delta^alpha on log-log axes with a bootstrap CI.
 
-    Requires at least ``min_points`` (3) scales with positive values.
+    Requires at least ``MIN_POINTS`` scales with positive values; ``seed``
+    drives the bootstrap.
     """
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(deltas) != len(values):
         raise ValidationError("deltas and values must have equal length")
-    if len(deltas) < min_points:
-        raise ValidationError(f"power-law fit needs >= {min_points} scales")
+    if len(deltas) < MIN_POINTS:
+        raise ValidationError(f"power-law fit needs >= {MIN_POINTS} scales")
     if np.any(deltas <= 0) or np.any(values <= 0):
         raise ValidationError("power-law fit needs positive scales and values")
     order = np.argsort(deltas)
@@ -83,7 +87,7 @@ def fit_power_law(deltas, values, n_boot=200, ci_level=0.95, seed=0,
         # The raw residual is leverage-damped beyond usefulness on short
         # sweeps, so the test uses the deleted (leave-largest-out) residual
         # against 3x the full-fit RMS.
-        if len(d) > min_points and rms > 0:
+        if len(d) > MIN_POINTS and rms > 0:
             s_sub, i_sub, _, _ = _ols_loglog(x[:-1], y[:-1])
             pred_resid = y[-1] - (s_sub * x[-1] + i_sub)
             if abs(pred_resid) > 3.0 * rms:
@@ -95,11 +99,11 @@ def fit_power_law(deltas, values, n_boot=200, ci_level=0.95, seed=0,
 
     rng = np.random.default_rng(seed)
     centered = resid - resid.mean()
-    slopes = np.empty(n_boot)
-    for b in range(n_boot):
+    slopes = np.empty(N_BOOT)
+    for b in range(N_BOOT):
         rs = rng.choice(centered, size=len(centered), replace=True)
         slopes[b] = np.polyfit(x, slope * x + intercept + rs, 1)[0]
-    tail = 100.0 * (1.0 - ci_level) / 2.0
+    tail = 100.0 * (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.percentile(slopes, [tail, 100.0 - tail])
 
     seg = np.diff(y) / np.diff(x)
@@ -108,7 +112,7 @@ def fit_power_law(deltas, values, n_boot=200, ci_level=0.95, seed=0,
     return PowerLawFit(exponent=float(slope), exponent_ci=(float(lo), float(hi)),
                        prefactor=float(np.exp(intercept)), r_squared=r2,
                        deltas=d, excluded=tuple(excluded), residuals=resid,
-                       segment_exponents=seg, n_boot=n_boot, ci_level=ci_level,
+                       segment_exponents=seg, n_boot=N_BOOT, ci_level=CI_LEVEL,
                        exponent_limit=limit, exponent_limit_band=band)
 
 

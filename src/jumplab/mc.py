@@ -10,13 +10,12 @@ random stream derived from (master seed, chunk index), so results are
 bit-identical for a fixed configuration no matter the execution order or
 worker count.  Chunk layout (chunk_size) is part of the configuration:
 changing it reshuffles the randomness exactly like changing the seed.
-``run_path`` reproduces the chunk_size=1 layout one path at a time.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +49,8 @@ class SimConfig:
             raise ValidationError(f"unknown exit mode {self.exit_mode!r}")
         if self.chunk_size < 1:
             raise ValidationError("chunk_size must be >= 1")
+        if self.horizon is not None and not self.horizon > 0:
+            raise ValidationError(f"horizon must be > 0 or None, got {self.horizon!r}")
         if self.horizon is not None and not self.horizon / self.dt < 2**62:
             raise ValidationError("horizon/dt overflows the step counter")
 
@@ -58,15 +59,6 @@ class SimConfig:
         if self.horizon is None:
             return 10**6
         return max(1, int(math.ceil(self.horizon / self.dt)))
-
-
-@dataclass(frozen=True)
-class ExitSample:
-    exit_point: np.ndarray
-    exit_time: float
-    jump_count: int
-    path_index: int
-    censored: bool = False
 
 
 @dataclass(frozen=True)
@@ -161,11 +153,6 @@ class MuSampler:
         return out
 
 
-def sample_jump_target(coeffs: CoefficientSet, domain: Domain, rng, size=1):
-    """Draw points distributed with the redistribution density."""
-    return MuSampler(coeffs, domain).draw(rng, size)
-
-
 class _Kinetics:
     """Per-run precomputation for the Euler step (constant-field fast paths)."""
 
@@ -213,20 +200,6 @@ class _Kinetics:
             return xi * np.sqrt(a)[:, None]
         roots = np.linalg.cholesky(self.diffusion(x))
         return np.einsum("nij,nj->ni", roots, xi)
-
-
-def step_euler(x, coeffs: CoefficientSet, delta, dt, rng):
-    """One Euler step: x + delta*B(x)*dt + sqrt(delta*dt) * sigma(x) * xi.
-
-    Accepts a single point or an (n, d) batch; shape is preserved.
-    """
-    d = coeffs.dim
-    pts = np.asarray(x, dtype=float)
-    pts2 = pts.reshape(-1, d)
-    kin = _Kinetics(coeffs, d)
-    xi = rng.standard_normal(pts2.shape)
-    out = pts2 + delta * kin.drift_at(pts2) * dt + math.sqrt(delta * dt) * kin.noise(pts2, xi)
-    return out.reshape(pts.shape)
 
 
 def _simulate_chunk(chunk_index, n_lanes, x0, coeffs, domain, cfg,
@@ -401,18 +374,6 @@ def simulate_ensemble(coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
     return PathEnsemble(points, times, jumps, status)
 
 
-def run_path(x0, coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
-             path_index=0) -> ExitSample:
-    """One path, on the stream the ensemble would use with chunk_size=1."""
-    one = replace(cfg, n_paths=1, chunk_size=1)
-    sampler = MuSampler(coeffs, domain)
-    kin = _Kinetics(coeffs, domain.dim)
-    p, t, j, s = _simulate_chunk(path_index, 1, x0, coeffs, domain,
-                                 one, sampler, kin, False)
-    return ExitSample(exit_point=p[0], exit_time=float(t[0]), jump_count=int(j[0]),
-                      path_index=int(path_index), censored=bool(s[0] == STATUS_CENSORED))
-
-
 @dataclass(frozen=True)
 class ExitLawEstimate:
     bin_edges: np.ndarray
@@ -433,12 +394,12 @@ def _default_bin_edges(domain: Domain, bins):
 
 
 def estimate_exit_law(x0, coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
-                      bins=2, f=None, workers=1,
-                      survival_grid=None) -> ExitLawEstimate:
+                      bins=2, f=None, workers=1) -> ExitLawEstimate:
     """Aggregate exit statistics over independent paths.
 
     Censored paths are excluded from the exit histogram and f-average but
-    enter the survival curve.
+    enter the survival curve, sampled at 64 evenly spaced times up to the horizon
+    (or the last exit time when there is none).
     """
     ens = simulate_ensemble(coeffs, domain, cfg, x0=x0, workers=workers)
     exited = ens.exited()
@@ -457,14 +418,13 @@ def estimate_exit_law(x0, coeffs: CoefficientSet, domain: Domain, cfg: SimConfig
     stderr_f = float(np.std(fvals, ddof=1) / math.sqrt(n_exit)) if n_exit > 1 else 0.0
 
     tau = ens.survival_times()
-    if survival_grid is None:
-        t_end = cfg.horizon if cfg.horizon is not None else float(np.max(ens.exit_times))
-        survival_grid = np.linspace(0.0, t_end, 65)[1:]
+    t_end = cfg.horizon if cfg.horizon is not None else float(np.max(ens.exit_times))
+    survival_grid = np.linspace(0.0, t_end, 65)[1:]
     surv = np.array([np.mean(tau > t) for t in survival_grid])
     return ExitLawEstimate(
         bin_edges=edges, bin_probs=probs, mean_f=mean_f, stderr_f=stderr_f,
         mean_jumps=float(np.mean(ens.jump_counts[exited])),
-        survival_times=np.asarray(survival_grid), survival_probs=surv,
+        survival_times=survival_grid, survival_probs=surv,
         n_paths=cfg.n_paths, n_censored=int((ens.status == STATUS_CENSORED).sum()))
 
 

@@ -30,15 +30,15 @@ class ProblemSpec:
     def start_point(self):
         return self.x0 if self.x0 is not None else self.domain.center
 
-    def validate(self, boundary_resolution=400, tol=None):
-        """Structural coefficient checks plus the vanishing-order gate.
+    def validate(self):
+        """Structural coefficient checks plus the vanishing-order gate on 400
+        boundary nodes.
 
         Raises ValidationError when the declared order is inconsistent.
         Returns (coefficient report, vanishing-order report).
         """
         report = validate_coefficients(self.domain, self.coeffs)
-        quad = self.domain.boundary_quadrature(boundary_resolution)
-        vreport = validate_vanishing_order(self.coeffs, quad, tol=tol)
+        vreport = validate_vanishing_order(self.coeffs, self.domain.boundary_quadrature(400))
         if not vreport.passed:
             raise ValidationError(
                 f"vanishing-order validation failed for k={vreport.k}: {vreport.detail}")

@@ -107,6 +107,12 @@ def limit_exit_functional(coeffs: CoefficientSet, quad: BoundaryQuadrature,
     return float((quad.weights * density.values) @ fvals / density.normalization)
 
 
+def parity_divisor(k):
+    """sqrt(2) for even vanishing order k, 2 for odd: the divisor of the
+    decay-rate prefactor and of the no-jump mass limit."""
+    return math.sqrt(2.0) if k % 2 == 0 else 2.0
+
+
 def decay_rate_prefactor(coeffs: CoefficientSet, quad: BoundaryQuadrature,
                          iquad: InteriorQuadrature,
                          density: BoundaryDensity | None = None) -> float:
@@ -124,8 +130,7 @@ def decay_rate_prefactor(coeffs: CoefficientSet, quad: BoundaryQuadrature,
     denom = float(iquad.weights @ (muvals / vvals))
     if denom <= 0.0:
         raise ValidationError(f"interior integral of mu/V is {denom:.3e}, expected > 0")
-    divisor = math.sqrt(2.0) if coeffs.vanishing_order % 2 == 0 else 2.0
-    return density.normalization / (divisor * denom)
+    return density.normalization / (parity_divisor(coeffs.vanishing_order) * denom)
 
 
 def evaluate(coeffs: CoefficientSet, quad: BoundaryQuadrature,
@@ -150,13 +155,13 @@ class VanishingOrderReport:
     detail: str
 
 
-def validate_vanishing_order(coeffs: CoefficientSet, quad: BoundaryQuadrature,
-                             tol=None) -> VanishingOrderReport:
+def validate_vanishing_order(coeffs: CoefficientSet,
+                             quad: BoundaryQuadrature) -> VanishingOrderReport:
     """Check the declared vanishing order k of mu on the boundary.
 
     PASS requires every derivative of mu of order < k to vanish at all nodes
     (within tol) and the order-k limit quantity to be nonzero somewhere.
-    tol defaults to 1e-8 times the scale of mu's k-th derivatives.
+    tol is 1e-8 times the scale of mu's k-th derivatives.
     """
     k = coeffs.vanishing_order
     d = coeffs.dim
@@ -169,8 +174,7 @@ def validate_vanishing_order(coeffs: CoefficientSet, quad: BoundaryQuadrature,
     kth = np.concatenate([np.abs(mu.eval(quad.nodes, b)) for b in multi_indices(d, k)]) \
         if k >= 0 else np.array([0.0])
     scale = float(np.max(kth)) if len(kth) else 0.0
-    if tol is None:
-        tol = 1e-8 * scale if scale > 0 else np.finfo(float).tiny
+    tol = 1e-8 * scale if scale > 0 else np.finfo(float).tiny
 
     low_max = 0.0
     offender = None

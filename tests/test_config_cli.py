@@ -274,10 +274,48 @@ def test_cli_rejects_flags_the_command_does_not_read(argv):
 @pytest.mark.parametrize("argv", [
     ["solve", "--preset", "interval-k0-uniform", "--delta", "1e-3", "--grid-n", "2"],
     ["solve", "--preset", "disk-k0-radial", "--delta", "1e-3", "--grid-angular", "4"],
+    ["solve", "--preset", "disk-k0-radial", "--delta", "1e-3", "--grid-angular", "0"],
 ])
 def test_cli_too_few_grid_nodes_is_an_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+EIGEN = ["eigen", "--preset", "interval-k0-uniform"]
+
+
+@pytest.mark.parametrize("argv, sections", [
+    (EIGEN + ["--delta", "abc"], None),
+    (EIGEN + ["--delta", ","], None),
+    (EIGEN + ["--delta", "0"], None),
+    (EIGEN + ["--delta=-1e-3"], None),
+    (EIGEN + ["--delta=nan"], None),
+    (["probe", "--m", "a"], None),
+    (["mc", "--delta", "0.2"], {"mc": {"dt": "x"}}),
+    (["mc", "--delta", "0.2"], {"mc": {"chunk_size": "big"}}),
+    (["mc", "--delta", "0.2"], {"mc": [1]}),
+    (["sweep"], {"experiment": {"kind": "decay", "deltas": ["a"]}}),
+    (["sweep"], {"experiment": {"kind": "decay", "deltas": 0.1}}),
+], ids=["delta-text", "delta-empty", "delta-zero", "delta-negative", "delta-nan", "m-text",
+        "mc-dt-text", "mc-chunk-size-text", "mc-not-object", "deltas-text", "deltas-scalar"])
+def test_cli_bad_numbers_are_error_lines(argv, sections, tmp_path, capsys):
+    if sections is not None:
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(ASYM_CONFIG | sections))
+        argv = argv + ["--config", str(p)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_sweep_flux_on_a_ring(tmp_path):
+    out = tmp_path / "f"
+    rc = main(["sweep", "--preset", "annulus-flux", "--experiment", "flux",
+               "--delta", "3e-3,1e-3", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "boundary-flux.json").read_text())
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert checks["flux_uniformity"]["passed"] is True
+    assert len((out / "boundary-flux.csv").read_text().strip().splitlines()) == 3
 
 
 FULL_CONFIG = {

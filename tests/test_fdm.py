@@ -312,3 +312,18 @@ def test_interior_decay_slope_constant_coefficients():
         vals.append(u.at(np.array([0.5])))
     slope = (math.log(vals[1]) - math.log(vals[0])) / (deltas[1] ** -0.5 - deltas[0] ** -0.5)
     assert slope == pytest.approx(-1 / math.sqrt(2), rel=0.05)
+
+
+def test_polar_grid_zero_angular_nodes_is_too_few():
+    # n_angular = 0 is not a request for the default of 64
+    disk = Domain.disk(0.0, 0.0, 1.0)
+    assert fdm.build_grid(disk, 50).shape == (50, 64)
+    with pytest.raises(ValidationError):
+        fdm.build_grid(disk, 50, n_angular=0)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-3, float("nan"), float("inf")])
+def test_suggest_resolution_rejects_bad_delta(delta):
+    spec = preset("interval-k0-uniform")
+    with pytest.raises(ValidationError):
+        fdm.suggest_resolution(spec.domain, delta, spec.coeffs)

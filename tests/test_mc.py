@@ -18,14 +18,14 @@ def rng(seed=0):
 def test_sample_uniform_interval_mean():
     spec = preset("interval-k0-uniform")
     n = 40000
-    pts = mc.sample_jump_target(spec.coeffs, spec.domain, rng(1), n)[:, 0]
+    pts = mc.MuSampler(spec.coeffs, spec.domain).draw(rng(1), n)[:, 0]
     assert abs(pts.mean() - 0.5) <= 3.0 / math.sqrt(12 * n)
 
 
 def test_sample_beta22_moments():
     spec = preset("interval-k1-beta22")
     n = 40000
-    pts = mc.sample_jump_target(spec.coeffs, spec.domain, rng(2), n)[:, 0]
+    pts = mc.MuSampler(spec.coeffs, spec.domain).draw(rng(2), n)[:, 0]
     assert pts.mean() == pytest.approx(0.5, abs=4 * math.sqrt(0.05 / n))
     assert pts.var() == pytest.approx(0.05, rel=0.05)
 
@@ -33,7 +33,7 @@ def test_sample_beta22_moments():
 def test_sample_disk_radius_moment():
     spec = preset("disk-k0-radial")
     n = 30000
-    pts = mc.sample_jump_target(spec.coeffs, spec.domain, rng(3), n)
+    pts = mc.MuSampler(spec.coeffs, spec.domain).draw(rng(3), n)
     r = np.hypot(pts[:, 0], pts[:, 1])
     assert r.mean() == pytest.approx(2.0 / 3.0, abs=4 * 0.25 / math.sqrt(n))
     assert np.all(spec.domain.contains(pts))
@@ -75,16 +75,29 @@ def test_sampler_rejects_density_above_its_bound():
 
 # -- Euler step ---------------------------------------------------------------
 
+def one_engine_step(dom, c, x0, delta, dt, n, seed):
+    """Points after one step of the engine: an ensemble censored at horizon = dt.
+
+    The clock (V = 1e-12) never rings and x0 is far from the boundary, so every
+    path is censored and its row holds the stepped point.
+    """
+    cfg = mc.SimConfig(delta=delta, dt=dt, n_paths=n, seed=seed, horizon=dt)
+    ens = mc.simulate_ensemble(c, dom, cfg, x0=np.asarray(x0, dtype=float))
+    assert np.all(ens.status == mc.STATUS_CENSORED)
+    assert np.all(ens.jump_counts == 0)
+    return ens.exit_points
+
+
 def test_step_moments_match_drift_and_covariance():
     from jumplab import CoefficientSet, MatrixField, VectorField, const
+    dom = Domain.interval(-10.0, 10.0)
     c = CoefficientSet(diffusion=MatrixField.isotropic(1, const(1, 1.0)),
                        drift=VectorField.constant((2.0,)),
-                       intensity=const(1, 1.0), redistribution=const(1, 1.0),
+                       intensity=const(1, 1e-12), redistribution=const(1, 1.0 / 20.0),
                        boundary_data=const(1, 0.0), vanishing_order=0)
     n = 10**6
     delta, dt = 1.0, 1e-3
-    x = np.full((n, 1), 0.3)
-    out = mc.step_euler(x, c, delta, dt, rng(5))
+    out = one_engine_step(dom, c, [0.3], delta, dt, n, seed=5)
     incr = out[:, 0] - 0.3
     # mean: delta * b * dt exactly in expectation
     assert incr.mean() == pytest.approx(delta * 2.0 * dt,
@@ -95,11 +108,12 @@ def test_step_moments_match_drift_and_covariance():
 def test_step_covariance_full_matrix():
     from jumplab import CoefficientSet, MatrixField, VectorField, const
     rows = ((const(2, 2.0), const(2, 1.0)), (const(2, 1.0), const(2, 2.0)))
+    dom = Domain.rectangle(-50.0, -50.0, 50.0, 50.0)
     c = CoefficientSet(diffusion=MatrixField(rows), drift=VectorField.zero(2),
-                       intensity=const(2, 1.0), redistribution=const(2, 1.0),
+                       intensity=const(2, 1e-12), redistribution=const(2, 1e-4),
                        boundary_data=const(2, 0.0), vanishing_order=0)
     n = 200000
-    out = mc.step_euler(np.zeros((n, 2)), c, 1.0, 1.0, rng(6))
+    out = one_engine_step(dom, c, [0.0, 0.0], 1.0, 1.0, n, seed=6)
     cov = np.cov(out.T)
     assert np.allclose(cov, [[2.0, 1.0], [1.0, 2.0]], atol=0.03)
 
@@ -196,18 +210,6 @@ def test_reproducible_across_workers_and_reruns():
     assert np.array_equal(a.exit_times, b.exit_times)
     assert np.array_equal(a.jump_counts, b.jump_counts)
     assert np.array_equal(a.status, b.status)
-
-
-def test_run_path_matches_singleton_chunks():
-    spec = preset("interval-k1-beta22")
-    cfg = mc.SimConfig(delta=0.1, dt=1e-3, n_paths=6, seed=16, horizon=500.0,
-                       chunk_size=1)
-    ens = mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=np.array([0.4]))
-    for i in range(6):
-        s = mc.run_path(np.array([0.4]), spec.coeffs, spec.domain, cfg, path_index=i)
-        assert s.exit_time == ens.exit_times[i]
-        assert s.jump_count == ens.jump_counts[i]
-        assert np.array_equal(s.exit_point, ens.exit_points[i])
 
 
 def test_seed_changes_results():
@@ -307,6 +309,9 @@ def test_sim_config_validation():
         mc.SimConfig(delta=0.1, dt=1e-3, n_paths=10, exit_mode="teleport")
     with pytest.raises(ValidationError):
         mc.SimConfig(delta=0.1, dt=1e-18, n_paths=10, horizon=1e60)
+    for horizon in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValidationError):
+            mc.SimConfig(delta=0.1, dt=1e-3, n_paths=10, horizon=horizon)
 
 
 def test_bridge_mode_needs_1d():
