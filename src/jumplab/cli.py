@@ -7,7 +7,6 @@ summary JSON.  The exit code is 0 iff every asserted check passed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -75,12 +74,6 @@ def _outdir(args):
     return out
 
 
-def _dump_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _grid(spec, args, delta):
     n = args.grid_n or fdm.suggest_resolution(spec.domain, delta, spec.coeffs, factor=0.03)
     angular = {} if args.grid_angular is None else {"n_angular": args.grid_angular}
@@ -91,7 +84,7 @@ def cmd_theory(args):
     spec = _load_spec(args)
     report = experiments.theory_report(spec)
     out = _outdir(args)
-    _dump_json(report, out / "theory.json")
+    experiments.write_summary_json(report, out / "theory.json")
     if args.format == "csv":
         with open(out / "theory_density.csv", "w") as fh:
             d = spec.domain.dim
@@ -119,7 +112,7 @@ def cmd_solve(args):
     x0 = spec.start_point()
     summary = {"delta": delta, "quantity": args.quantity, "n_nodes": grid.n_nodes,
                "value_at_x0": sol.at(x0), "x0": np.asarray(x0).tolist()}
-    _dump_json(summary, out / "solve.json")
+    experiments.write_summary_json(summary, out / "solve.json")
     print(f"{args.quantity}(x0) = {summary['value_at_x0']:.10f} "
           f"(delta={delta:g}, {grid.n_nodes} nodes)")
     return 0
@@ -132,9 +125,10 @@ def cmd_eigen(args):
     grid = _grid(spec, args, delta)
     res = fdm.principal_eigenvalue(delta, spec.coeffs, grid)
     out = _outdir(args)
-    _dump_json({"delta": delta, "lambda0": res.lambda0, "iterations": res.iterations,
-                "residual": res.residual, "n_nodes": grid.n_nodes},
-               out / "eigen.json")
+    experiments.write_summary_json({"delta": delta, "lambda0": res.lambda0,
+                                    "iterations": res.iterations,
+                                    "residual": res.residual, "n_nodes": grid.n_nodes},
+                                   out / "eigen.json")
     if args.format == "csv":
         res.eigenfunction.to_csv(out / "eigenfunction.csv")
     print(f"lambda0 = {res.lambda0:.10e} ({res.iterations} iterations, "
@@ -158,7 +152,7 @@ def cmd_mc(args):
     cfg = mc.SimConfig(delta=delta, dt=dt, n_paths=paths, seed=args.seed,
                        exit_mode=exit_mode, horizon=horizon,
                        chunk_size=_mc_setting(section, "chunk_size", 32768, int))
-    bins = args.bins if args.bins else (2 if spec.domain.dim == 1 else 36)
+    bins = args.bins if args.bins is not None else (2 if spec.domain.dim == 1 else 36)
     est = mc.estimate_exit_law(spec.start_point(), spec.coeffs, spec.domain, cfg,
                                bins=bins, workers=args.workers)
     out = _outdir(args)
@@ -170,7 +164,7 @@ def cmd_mc(args):
         "survival": {"t": est.survival_times.tolist(), "p": est.survival_probs.tolist()},
         "n_censored": est.n_censored,
     }
-    _dump_json(payload, out / "mc.json")
+    experiments.write_summary_json(payload, out / "mc.json")
     if args.save_paths:
         ens = mc.simulate_ensemble(spec.coeffs, spec.domain, cfg,
                                    x0=spec.start_point(), workers=args.workers)
@@ -222,12 +216,12 @@ def cmd_probe(args):
     out = _outdir(args)
     for m, res in results.items():
         experiments.write_rows_csv(res.rows, out / f"probe_m{m}.csv")
-    _dump_json({str(m): {"alpha": results[m].meta["alpha"],
-                         "alpha_ci": results[m].meta["alpha_ci"]} for m in results}
-               | {"summary": {k: (v if not isinstance(v, dict)
-                                  else {str(kk): vv for kk, vv in v.items()})
-                              for k, v in summary.items()}},
-               out / "probe.json")
+    payload = {str(m): {"alpha": results[m].meta["alpha"],
+                        "alpha_ci": results[m].meta["alpha_ci"]} for m in results}
+    payload["summary"] = {k: (v if not isinstance(v, dict)
+                              else {str(kk): vv for kk, vv in v.items()})
+                          for k, v in summary.items()}
+    experiments.write_summary_json(payload, out / "probe.json")
     for m in ms:
         a = results[m].meta["alpha"]
         lo, hi = results[m].meta["alpha_ci"]

@@ -284,7 +284,7 @@ def run_boundary_flux_experiment(spec: ProblemSpec, deltas=(1e-3, 1e-4, 1e-5),
     scaled = math.sqrt(d_min) * bf.values
     amat = spec.coeffs.diffusion(bf.nodes)
     nan = np.einsum("ni,nij,nj->n", bf.normals, amat, bf.normals)
-    vvals = spec.coeffs.intensity.eval(bf.nodes, (0,) * spec.domain.dim)
+    vvals = spec.coeffs.intensity.eval(bf.nodes)
     target = -np.sqrt(2.0 * vvals * nan)
     rel_dev = np.abs(scaled - target) / np.abs(target)
     checks = [Check("flux_value", float(np.max(rel_dev)) <= FLUX_VALUE_RTOL,
@@ -341,17 +341,17 @@ def run_interior_decay_experiment(spec: ProblemSpec, deltas=(1e-2, 1e-3, 1e-4),
 # vanishing-intensity probe (exploratory; no value assertions)
 
 
-def run_vanishing_intensity_probe(spec: ProblemSpec, deltas=DEFAULT_DELTAS,
-                                  grid_factor=0.05) -> SweepResult:
+def run_vanishing_intensity_probe(spec: ProblemSpec, deltas=DEFAULT_DELTAS) -> SweepResult:
     """Decay-rate order when the intensity vanishes on the boundary.
 
-    The eigenvalue sweep without the theory checks: emits the fitted order
-    with its CI and deliberately asserts nothing about the value (the
-    scaling law here is an open problem; the data is the product).  The
-    problem is not validated, since its intensity vanishes on the boundary.
+    The eigenvalue sweep on grid factor 0.05 grids without the theory
+    checks: emits the fitted order with its CI and deliberately asserts
+    nothing about the value (the scaling law here is an open problem; the
+    data is the product).  The problem is not validated, since its
+    intensity vanishes on the boundary.
     """
     deltas = sorted(deltas, reverse=True)
-    _, rows, fit = _eigen_sweep(spec, deltas, grid_factor)
+    _, rows, fit = _eigen_sweep(spec, deltas, 0.05)
     return SweepResult("vanishing-intensity-probe", rows, [], fit=fit,
                        meta={"preset": spec.name, "alpha": fit.exponent,
                              "alpha_ci": list(fit.exponent_ci)})
@@ -489,6 +489,7 @@ def summary_dict(result: SweepResult):
 
 
 def write_summary_json(result_or_dict, path):
+    """A SweepResult's summary, or a plain dict, as sorted, indented JSON."""
     payload = summary_dict(result_or_dict) if isinstance(result_or_dict, SweepResult) \
         else result_or_dict
     with open(path, "w") as fh:

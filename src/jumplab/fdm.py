@@ -218,25 +218,24 @@ def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False
     if grid.family == "polar" and not coeffs.diffusion.is_isotropic():
         raise ValidationError("polar grids support isotropic diffusion only")
     d = len(grid.shape)
-    zero = (0,) * d
     me = grid.interior
     index, xi = np.unravel_index(me, grid.shape), grid.coordinates[me]
     pts = grid.coords.to_cartesian(xi)
     scale = grid.coords.scales(xi)
     jac = math.prod(scale.T)
-    diag = -coeffs.intensity.eval(pts, zero)
+    diag = -coeffs.intensity.eval(pts)
     entries = []  # (rows, columns, values) next to the diagonal
     if d == 2 and (a12 := coeffs.diffusion.entry(0, 1)).constant_value() != 0.0:
         # box grids only (polar diffusion is isotropic): symmetric a12 cross terms
         # via centered difference of centered differences
         c = delta * 0.5 / (4 * grid.spacing[0] * grid.spacing[1])
         at = lambda p, q: me + p * grid.shape[1] + q
-        a = {pq: a12.eval(grid.points[at(*pq)], zero) for pq in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+        a = {pq: a12.eval(grid.points[at(*pq)]) for pq in ((1, 0), (-1, 0), (0, 1), (0, -1))}
         for p in (1, -1):
             for q in (1, -1):
                 entries.append((me, at(p, q), c * p * q * (a[p, 0] + a[0, q])))
 
-    bvals = np.stack([c.eval(pts, zero) for c in coeffs.drift.components], axis=1)
+    bvals = np.stack([c.eval(pts) for c in coeffs.drift.components], axis=1)
     drift = (np.einsum("...kj,...j->...k", grid.coords.units(xi), bvals) / scale
              if np.any(bvals) else None)
     for k, (h, n) in enumerate(zip(grid.spacing, grid.shape)):
@@ -250,7 +249,7 @@ def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False
             face[:, k] += s * h / 2
             face_scale = grid.coords.scales(face)
             weight = math.prod(face_scale.T) / (jac * face_scale[:, k] ** 2) * (wall != -s)
-            c = delta * 0.5 * a_kk.eval(grid.coords.to_cartesian(face), zero) * weight / h**2
+            c = delta * 0.5 * a_kk.eval(grid.coords.to_cartesian(face)) * weight / h**2
             entries.append((me, step(s), c))
             diag -= c
         if drift is not None:  # centred; one-sided into the domain at a reflecting end
@@ -266,7 +265,7 @@ def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False
 
 def mu_quadrature_weights(coeffs: CoefficientSet, grid: Grid):
     """Trapezoid weights times the redistribution density, normalized to sum 1."""
-    w = grid.cell_weights * coeffs.redistribution.eval(grid.points, (0,) * grid.points.shape[1])
+    w = grid.cell_weights * coeffs.redistribution.eval(grid.points)
     total = w.sum()
     if not total > 0:
         raise ValidationError("mu quadrature weights are all zero")
@@ -296,7 +295,7 @@ class DiscreteOperator:
 def assemble_operator(delta, coeffs: CoefficientSet, grid: Grid,
                       allow_coarse=False) -> DiscreteOperator:
     A_loc, B_bc = assemble_local(delta, coeffs, grid, allow_coarse=allow_coarse)
-    v = coeffs.intensity.eval(grid.points[grid.interior], (0,) * grid.points.shape[1])
+    v = coeffs.intensity.eval(grid.points[grid.interior])
     w = mu_quadrature_weights(coeffs, grid)
     if abs(w.sum() - 1.0) > 1e-8:
         raise ValidationError("discrete mu weights do not sum to 1")
@@ -400,7 +399,7 @@ def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None,
     """
     op = assemble_operator(delta, coeffs, grid, allow_coarse=allow_coarse)
     f = coeffs.boundary_data if f is None else f
-    fb = f.eval(grid.points[grid.boundary], (0,) * grid.points.shape[1])
+    fb = f.eval(grid.points[grid.boundary])
     rhs = -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
     return _on_grid(grid, RankOneSolver(op.A_loc, op.v, op.w_interior).solve(rhs), fb)
 

@@ -1,9 +1,12 @@
 """Coefficient fields with exact derivatives, and the differential operators.
 
-Builtin fields (polynomials, trigonometric waves, boundary-distance powers)
-carry closed-form partial derivatives, so repeated applications of the
-adjoint operator stay exact all the way to the boundary.  Nested numerical
-differentiation there would be one-sided and noisy, which is why a
+A field's values are ``f.eval(pts)`` on an (n, d) point array, or ``f(x)``
+on one point or a batch.  Its partial derivatives are fields too:
+``f.derivative(beta)`` for a multi-index beta, the one place that checks the
+declared order.  Builtin fields (polynomials, trigonometric waves, products
+and sums of them) differentiate in closed form, so repeated applications of
+the adjoint operator stay exact all the way to the boundary.  Nested
+numerical differentiation there would be one-sided and noisy, which is why a
 finite-difference fallback exists only for user-supplied black-box callables
 and is flagged as reduced accuracy.
 
@@ -18,6 +21,7 @@ Operators, written for the generator  G = (1/2) div(a grad) + b . grad:
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,12 +31,8 @@ import numpy as np
 from .errors import DerivativeOrderError, ValidationError
 from .geometry import Domain, as_points
 
-MultiIndex = tuple
-
 
 def _as_multi_index(beta, dim):
-    if beta is None:
-        return (0,) * dim
     beta = tuple(int(b) for b in beta)
     if len(beta) != dim or any(b < 0 for b in beta):
         raise ValueError(f"bad multi-index {beta} for dimension {dim}")
@@ -55,37 +55,37 @@ def _falling(e, k):
 
 
 class ScalarField:
-    """Base: real field on R^d evaluated together with partial derivatives."""
+    """Base: real field on R^d; values from ``eval``, derivatives from ``derivative``."""
 
     dim: int
     max_order: float  # math.inf for analytic builtins
 
-    def eval(self, pts, beta=None):
-        """Evaluate the ``beta`` partial derivative at an (n, d) point array."""
+    def eval(self, pts):
+        """Values at an (n, d) point array."""
         raise NotImplementedError
 
-    def __call__(self, x, beta=None):
+    def __call__(self, x):
         pts, single = as_points(x, self.dim)
-        beta = _as_multi_index(beta, self.dim)
-        if sum(beta) > self.max_order:
-            raise DerivativeOrderError(
-                f"derivative order {sum(beta)} exceeds declared order {self.max_order}")
-        vals = self.eval(pts, beta)
+        vals = self.eval(pts)
         return float(vals[0]) if single else vals
 
     def derivative(self, beta):
-        """The derivative as a field (exact for analytic builtins)."""
+        """The ``beta`` partial derivative as a field (exact for analytic builtins).
+
+        Raises DerivativeOrderError beyond the declared order.
+        """
         beta = _as_multi_index(beta, self.dim)
-        if sum(beta) == 0:
-            return self
         if sum(beta) > self.max_order:
             raise DerivativeOrderError(
                 f"derivative order {sum(beta)} exceeds declared order {self.max_order}")
-        return DerivShift(self, beta)
+        return self._derivative(beta) if any(beta) else self
+
+    def _derivative(self, beta):
+        # beta is non-zero and within the declared order
+        raise NotImplementedError
 
     def gradient(self):
-        return [self.derivative(tuple(1 if j == i else 0 for j in range(self.dim)))
-                for i in range(self.dim)]
+        return [self.derivative(_unit(self.dim, i)) for i in range(self.dim)]
 
     def constant_value(self):
         """The field's constant value, or None if not (recognizably) constant."""
@@ -94,13 +94,6 @@ class ScalarField:
     @property
     def reduced_accuracy(self):
         return False
-
-    # algebra sugar
-    def __add__(self, other):
-        return LinearCombo(((1.0, self), (1.0, other)))
-
-    def __sub__(self, other):
-        return LinearCombo(((1.0, self), (-1.0, other)))
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
@@ -134,27 +127,17 @@ class PolyField(ScalarField):
     def max_order(self):
         return math.inf
 
-    def eval(self, pts, beta):
+    def eval(self, pts):
         out = np.zeros(len(pts))
         for expo, c in self.coeffs:
-            coef = c
-            ok = True
-            for e, b in zip(expo, beta):
-                if b > e:
-                    ok = False
-                    break
-                coef *= _falling(e, b)
-            if not ok:
-                continue
-            term = np.full(len(pts), coef)
-            for ax, (e, b) in enumerate(zip(expo, beta)):
-                if e - b > 0:
-                    term = term * pts[:, ax] ** (e - b)
+            term = np.full(len(pts), c)
+            for ax, e in enumerate(expo):
+                if e > 0:
+                    term = term * pts[:, ax] ** e
             out += term
         return out
 
-    def derivative(self, beta):
-        beta = _as_multi_index(beta, self.dim)
+    def _derivative(self, beta):
         new = {}
         for expo, c in self.coeffs:
             if any(b > e for e, b in zip(expo, beta)):
@@ -200,14 +183,10 @@ class TrigWave(ScalarField):
     def max_order(self):
         return math.inf
 
-    def eval(self, pts, beta):
-        m = sum(beta)
-        coef = self.amp * np.prod([f ** b for f, b in zip(self.freq, beta)])
-        arg = pts @ np.asarray(self.freq) + self.phase + m * math.pi / 2.0
-        return coef * np.cos(arg)
+    def eval(self, pts):
+        return self.amp * np.cos(pts @ np.asarray(self.freq) + self.phase)
 
-    def derivative(self, beta):
-        beta = _as_multi_index(beta, self.dim)
+    def _derivative(self, beta):
         m = sum(beta)
         coef = self.amp * math.prod(f ** b for f, b in zip(self.freq, beta))
         return TrigWave(self.dim, coef, self.freq, self.phase + m * math.pi / 2.0)
@@ -233,11 +212,9 @@ class DistPowerField(ScalarField):
     def max_order(self):
         return 0
 
-    def eval(self, pts, beta):
-        if sum(beta) > 0:
-            raise DerivativeOrderError("distance-power fields supply values only")
+    def eval(self, pts):
         d = np.maximum(np.atleast_1d(self.domain.signed_distance(pts)), 0.0)
-        return d ** self.power * self.factor.eval(pts, (0,) * self.dim)
+        return d ** self.power * self.factor.eval(pts)
 
 
 class CallableField(ScalarField):
@@ -246,6 +223,8 @@ class CallableField(ScalarField):
     Central second-order stencils, switching to one-sided next to the
     boundary; step h = 1e-5 * diameter.  Capped at second derivatives.
     Exists for user-supplied fields only; builtins carry exact derivatives.
+    A derivative is the same callable with the multi-index ``beta`` pending:
+    its values are the stencils applied to ``fn``.
     """
 
     def __init__(self, fn, domain, max_order=2):
@@ -256,10 +235,17 @@ class CallableField(ScalarField):
         self.dim = domain.dim
         self.max_order = int(max_order)
         self.h = 1e-5 * domain.diameter
+        self.beta = (0,) * self.dim  # pending derivative of fn
 
     @property
     def reduced_accuracy(self):
         return True
+
+    def _derivative(self, beta):
+        out = copy.copy(self)
+        out.beta = tuple(p + b for p, b in zip(self.beta, beta))
+        out.max_order = self.max_order - sum(beta)
+        return out
 
     def _values(self, pts):
         arg = pts if self.dim > 1 else pts[:, 0]
@@ -271,12 +257,11 @@ class CallableField(ScalarField):
             pass
         return np.asarray([self.fn(p if self.dim > 1 else p[0]) for p in pts], dtype=float)
 
-    def eval(self, pts, beta):
-        m = sum(beta)
-        if m > self.max_order:
-            raise DerivativeOrderError(
-                f"derivative order {m} exceeds declared order {self.max_order}")
-        if m == 0:
+    def eval(self, pts):
+        return self._stencil(pts, self.beta)
+
+    def _stencil(self, pts, beta):
+        if not any(beta):
             return self._values(pts)
         # peel one derivative off the first active axis, recurse on the rest
         axis = next(i for i, b in enumerate(beta) if b > 0)
@@ -287,7 +272,7 @@ class CallableField(ScalarField):
         tol = -self.domain.boundary_tol
         inside_p = self.domain.signed_distance(pts + h * e) > tol
         inside_m = self.domain.signed_distance(pts - h * e) > tol
-        at = lambda sub, shift: self.eval(pts[sub] + shift * e, rest)
+        at = lambda sub, shift: self._stencil(pts[sub] + shift * e, rest)
         out = np.empty(len(pts))
         both = inside_p & inside_m
         if np.any(both):
@@ -313,14 +298,13 @@ class LinearCombo(ScalarField):
     def max_order(self):
         return min(f.max_order for _, f in self.terms)
 
-    def eval(self, pts, beta):
+    def eval(self, pts):
         out = np.zeros(len(pts))
         for c, f in self.terms:
-            out += c * f.eval(pts, beta)
+            out += c * f.eval(pts)
         return out
 
-    def derivative(self, beta):
-        beta = _as_multi_index(beta, self.dim)
+    def _derivative(self, beta):
         return LinearCombo(tuple((c, f.derivative(beta)) for c, f in self.terms))
 
     def constant_value(self):
@@ -350,15 +334,18 @@ class Product(ScalarField):
     def max_order(self):
         return min(self.left.max_order, self.right.max_order)
 
-    def eval(self, pts, beta):
-        # Leibniz over all sub-multi-indices of beta
-        out = np.zeros(len(pts))
-        ranges = [range(b + 1) for b in beta]
-        for gamma in itertools.product(*ranges):
+    def eval(self, pts):
+        return self.left.eval(pts) * self.right.eval(pts)
+
+    def _derivative(self, beta):
+        # Leibniz over all sub-multi-indices gamma of beta
+        terms = []
+        for gamma in itertools.product(*(range(b + 1) for b in beta)):
             binom = math.prod(math.comb(b, g) for b, g in zip(beta, gamma))
             rest = tuple(b - g for b, g in zip(beta, gamma))
-            out += binom * self.left.eval(pts, gamma) * self.right.eval(pts, rest)
-        return out
+            terms.append((float(binom), Product(self.left.derivative(gamma),
+                                                self.right.derivative(rest))))
+        return LinearCombo(tuple(terms))
 
     def constant_value(self):
         lv, rv = self.left.constant_value(), self.right.constant_value()
@@ -369,36 +356,6 @@ class Product(ScalarField):
     @property
     def reduced_accuracy(self):
         return self.left.reduced_accuracy or self.right.reduced_accuracy
-
-
-@dataclass(frozen=True)
-class DerivShift(ScalarField):
-    base: ScalarField
-    shift: tuple
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def max_order(self):
-        return self.base.max_order - sum(self.shift)
-
-    def eval(self, pts, beta):
-        total = tuple(s + b for s, b in zip(self.shift, beta))
-        return self.base.eval(pts, total)
-
-    def constant_value(self):
-        v = self.base.constant_value()
-        if v is not None:  # derivative of a constant
-            return 0.0
-        if isinstance(self.base, PolyField):
-            return self.base.derivative(self.shift).constant_value()
-        return None
-
-    @property
-    def reduced_accuracy(self):
-        return self.base.reduced_accuracy
 
 
 def const(dim, value):
@@ -419,14 +376,8 @@ class VectorField:
 
     def __call__(self, x):
         pts, single = as_points(x, self.dim)
-        vals = np.stack([c.eval(pts, (0,) * self.dim) for c in self.components], axis=1)
+        vals = np.stack([c.eval(pts) for c in self.components], axis=1)
         return vals[0] if single else vals
-
-    def divergence(self):
-        d = self.dim
-        return LinearCombo(tuple(
-            (1.0, c.derivative(tuple(1 if j == i else 0 for j in range(d))))
-            for i, c in enumerate(self.components)))
 
     @staticmethod
     def zero(dim):
@@ -455,10 +406,9 @@ class MatrixField:
         pts, single = as_points(x, self.dim)
         d = self.dim
         out = np.empty((len(pts), d, d))
-        zero = (0,) * d
         for i in range(d):
             for j in range(d):
-                out[:, i, j] = self.entries[i][j].eval(pts, zero)
+                out[:, i, j] = self.entries[i][j].eval(pts)
         return out[0] if single else out
 
     @staticmethod
@@ -473,13 +423,14 @@ class MatrixField:
 
     @staticmethod
     def from_entries(rows):
+        """The matrix of the given rows; raises ValidationError unless a_ij == a_ji."""
         d = len(rows)
         for i in range(d):
             for j in range(i):
-                if rows[i][j] is not rows[j][i]:
-                    # symmetrize: trust the upper triangle
-                    rows = [list(r) for r in rows]
-                    rows[i][j] = rows[j][i]
+                if rows[i][j] != rows[j][i]:
+                    raise ValidationError(
+                        f"diffusion matrix is not symmetric: entry ({i}, {j}) "
+                        f"differs from entry ({j}, {i})")
         return MatrixField(tuple(tuple(r) for r in rows))
 
     def is_isotropic(self):

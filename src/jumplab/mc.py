@@ -43,8 +43,8 @@ class SimConfig:
     chunk_size: int = 32768
 
     def __post_init__(self):
-        if not (self.delta > 0 and self.dt > 0 and self.n_paths >= 1):
-            raise ValidationError("need delta > 0, dt > 0, n_paths >= 1")
+        if not (0 < self.delta < math.inf and 0 < self.dt < math.inf and self.n_paths >= 1):
+            raise ValidationError("need finite delta > 0, finite dt > 0, n_paths >= 1")
         if self.exit_mode not in ("first-crossing", "bridge-1d"):
             raise ValidationError(f"unknown exit mode {self.exit_mode!r}")
         if self.chunk_size < 1:
@@ -116,7 +116,7 @@ class MuSampler:
         res = sample_resolution if domain.dim == 1 else 256
         sample = np.concatenate([domain.interior_quadrature(res).nodes,
                                  domain.boundary_quadrature(256).nodes])
-        peak = float(np.max(self.mu.eval(sample, (0,) * self.dim)))
+        peak = float(np.max(self.mu.eval(sample)))
         if not peak > 0:
             raise SamplingError("redistribution density has no positive values on the sample")
         self.bound = 1.05 * peak
@@ -132,7 +132,7 @@ class MuSampler:
             pts = self.lo + rng.random((m, self.dim)) * (self.hi - self.lo)
             u = rng.random(m)
             dens = np.where(self.domain.contains(pts),
-                            self.mu.eval(pts, (0,) * self.dim), -1.0)
+                            self.mu.eval(pts), -1.0)
             peak = dens.max()
             if peak > self.bound:
                 raise SamplingError(
@@ -182,12 +182,12 @@ class _Kinetics:
     def intensity_at(self, x):
         if self.v_const is not None:
             return self.v_const
-        return self.intensity.eval(x, (0,) * self.dim)
+        return self.intensity.eval(x)
 
     def drift_at(self, x):
         if self.b_const is not None:
             return self.b_const
-        return np.stack([c.eval(x, (0,) * self.dim) for c in self.b_comps], axis=1)
+        return np.stack([c.eval(x) for c in self.b_comps], axis=1)
 
     def noise(self, x, xi):
         """sigma(x) @ xi, batched."""
@@ -196,14 +196,13 @@ class _Kinetics:
                 return xi * self.root_const[0, 0]
             return xi @ self.root_const.T
         if self.dim == 1:
-            a = self.a00.eval(x, (0,))
+            a = self.a00.eval(x)
             return xi * np.sqrt(a)[:, None]
         roots = np.linalg.cholesky(self.diffusion(x))
         return np.einsum("nij,nj->ni", roots, xi)
 
 
-def _simulate_chunk(chunk_index, n_lanes, x0, coeffs, domain, cfg,
-                    sampler, kin, stop_on_jump):
+def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on_jump):
     rng = _chunk_rng(cfg.seed, chunk_index)
     d = domain.dim
     if x0 is None:
@@ -235,7 +234,7 @@ def _simulate_chunk(chunk_index, n_lanes, x0, coeffs, domain, cfg,
             a_max = kin.a00_const
         else:
             probe = np.linspace(xl, xr, 256).reshape(-1, 1)
-            a_max = float(np.max(kin.a00.eval(probe, (0,))))
+            a_max = float(np.max(kin.a00.eval(probe)))
         near_tol = math.sqrt(0.5 * BRIDGE_EXPONENT_CUTOFF * cfg.delta * a_max * cfg.dt)
 
     def retire(mask, points, time, status):
@@ -280,7 +279,7 @@ def _simulate_chunk(chunk_index, n_lanes, x0, coeffs, domain, cfg,
                 xo = x0col[nidx]
                 xm = xn0[nidx]
                 a_here = kin.a00_const if kin.a00_const is not None \
-                    else kin.a00.eval(x[nidx], (0,))
+                    else kin.a00.eval(x[nidx])
                 s2 = cfg.delta * a_here * cfg.dt
                 expo_l = 2.0 * (xo - xl) * (xm - xl) / s2
                 expo_r = 2.0 * (xr - xo) * (xr - xm) / s2
@@ -335,9 +334,7 @@ def _simulate_chunk(chunk_index, n_lanes, x0, coeffs, domain, cfg,
 
 
 def _chunk_task(args):
-    (chunk_index, n_lanes, x0, coeffs, domain, cfg, sampler, kin, stop_on_jump) = args
-    return chunk_index, _simulate_chunk(chunk_index, n_lanes, x0, coeffs, domain,
-                                        cfg, sampler, kin, stop_on_jump)
+    return args[0], _simulate_chunk(*args)
 
 
 def simulate_ensemble(coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
@@ -357,8 +354,8 @@ def simulate_ensemble(coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
     jumps = np.empty(n, dtype=np.int64)
     status = np.empty(n, dtype=np.int8)
 
-    tasks = [(c, min(n, (c + 1) * cs) - c * cs, x0, coeffs, domain, cfg,
-              sampler, kin, stop_on_jump) for c in range(n_chunks)]
+    tasks = [(c, min(n, (c + 1) * cs) - c * cs, x0, domain, cfg, sampler, kin, stop_on_jump)
+             for c in range(n_chunks)]
     if workers <= 1 or n_chunks == 1:
         results = [_chunk_task(t) for t in tasks]
     else:
@@ -388,8 +385,11 @@ class ExitLawEstimate:
 
 
 def _default_bin_edges(domain: Domain, bins):
+    """Explicit edges, or ``bins`` equal bins over the boundary coordinate range."""
     if not np.isscalar(bins):
         return np.asarray(bins, dtype=float)
+    if int(bins) < 1:
+        raise ValidationError(f"bins must be >= 1, got {bins}")
     return np.linspace(*domain.coordinate_range, int(bins) + 1)
 
 
@@ -401,6 +401,7 @@ def estimate_exit_law(x0, coeffs: CoefficientSet, domain: Domain, cfg: SimConfig
     enter the survival curve, sampled at 64 evenly spaced times up to the horizon
     (or the last exit time when there is none).
     """
+    edges = _default_bin_edges(domain, bins)
     ens = simulate_ensemble(coeffs, domain, cfg, x0=x0, workers=workers)
     exited = ens.exited()
     n_exit = int(exited.sum())
@@ -408,12 +409,11 @@ def estimate_exit_law(x0, coeffs: CoefficientSet, domain: Domain, cfg: SimConfig
         raise SolverError("all paths were censored at the horizon")
     pts = ens.exit_points[exited]
     coords, _ = domain.boundary_coordinate(pts)
-    edges = _default_bin_edges(domain, bins)
     counts, _ = np.histogram(coords, bins=edges)
     probs = counts / n_exit
 
     f = coeffs.boundary_data if f is None else f
-    fvals = f.eval(pts, (0,) * domain.dim)
+    fvals = f.eval(pts)
     mean_f = float(np.mean(fvals))
     stderr_f = float(np.std(fvals, ddof=1) / math.sqrt(n_exit)) if n_exit > 1 else 0.0
 

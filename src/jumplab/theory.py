@@ -36,9 +36,6 @@ class BoundaryDensity:
     values: np.ndarray
     normalization: float  # sum of weights * values
 
-    def normalized(self):
-        return self.values / self.normalization
-
 
 @dataclass(frozen=True)
 class TheoryResult:
@@ -55,26 +52,23 @@ def _order_k_quantity(coeffs: CoefficientSet, quad: BoundaryQuadrature, k: int):
     Even k: adjoint^{k/2} mu evaluated at the nodes.
     Odd k:  (a grad(adjoint^{(k-1)/2} mu)) . n at the nodes.
     """
-    d = coeffs.dim
     mu = coeffs.redistribution
     if k % 2 == 0:
         g = apply_adjoint_power(coeffs, mu, k // 2)
-        return g.eval(quad.nodes, (0,) * d)
+        return g.eval(quad.nodes)
     g = apply_adjoint_power(coeffs, mu, (k - 1) // 2)
-    grad = np.stack([comp.eval(quad.nodes, (0,) * d) for comp in g.gradient()], axis=1)
+    grad = np.stack([comp.eval(quad.nodes) for comp in g.gradient()], axis=1)
     amat = coeffs.diffusion(quad.nodes)
     return np.einsum("ni,nij,nj->n", quad.normals, amat, grad)
 
 
-def limit_exit_density(coeffs: CoefficientSet, quad: BoundaryQuadrature,
-                       k=None) -> BoundaryDensity:
+def limit_exit_density(coeffs: CoefficientSet, quad: BoundaryQuadrature) -> BoundaryDensity:
     """Unnormalized limiting exit density at the quadrature nodes.
 
     Requires the declared vanishing order to be consistent with mu (run
     validate_vanishing_order first for a structured report).
     """
-    k = coeffs.vanishing_order if k is None else int(k)
-    d = coeffs.dim
+    k = coeffs.vanishing_order
     vvals = coeffs.intensity(quad.nodes)
     if np.any(vvals <= 0.0):
         raise ValidationError("intensity must be positive on the boundary for the limit formulas")
@@ -103,7 +97,7 @@ def limit_exit_functional(coeffs: CoefficientSet, quad: BoundaryQuadrature,
     if density is None:
         density = limit_exit_density(coeffs, quad)
     f = coeffs.boundary_data if f is None else f
-    fvals = f.eval(quad.nodes, (0,) * coeffs.dim)
+    fvals = f.eval(quad.nodes)
     return float((quad.weights * density.values) @ fvals / density.normalization)
 
 
@@ -171,7 +165,8 @@ def validate_vanishing_order(coeffs: CoefficientSet,
             f"redistribution density provides derivatives to order {mu.max_order}, "
             f"but vanishing order {k} was declared")
 
-    kth = np.concatenate([np.abs(mu.eval(quad.nodes, b)) for b in multi_indices(d, k)]) \
+    kth = np.concatenate([np.abs(mu.derivative(b).eval(quad.nodes))
+                          for b in multi_indices(d, k)]) \
         if k >= 0 else np.array([0.0])
     scale = float(np.max(kth)) if len(kth) else 0.0
     tol = 1e-8 * scale if scale > 0 else np.finfo(float).tiny
@@ -182,7 +177,7 @@ def validate_vanishing_order(coeffs: CoefficientSet,
     passed = True
     for order in range(k):
         for b in multi_indices(d, order):
-            vals = np.abs(mu.eval(quad.nodes, b))
+            vals = np.abs(mu.derivative(b).eval(quad.nodes))
             m = float(np.max(vals))
             if m > low_max:
                 low_max = m

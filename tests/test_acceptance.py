@@ -218,7 +218,7 @@ def test_criterion_12_rank_one_solver_equivalence():
     spec = jl.preset("interval-k0-asym")
     grid = fdm.build_grid(spec.domain, 50)
     op = fdm.assemble_operator(2e-3, spec.coeffs, grid, allow_coarse=True)
-    fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary], (0,))
+    fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary])
     rhs = -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
     fast = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior).solve(rhs)
     dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
@@ -244,10 +244,10 @@ def test_criterion_13_property_suite():
     phi = PolyField.from_dict(1, bump)
     psi = PolyField.from_dict(1, {(3,): 1.0, (4,): -2.0, (5,): 0.0, (6,): 2.0, (7,): -1.0})
     iq = dom.interior_quadrature(20001)
-    lhs = iq.weights @ (jl.apply_generator(c, phi).eval(iq.nodes, (0,))
-                        * psi.eval(iq.nodes, (0,)))
-    rhs = iq.weights @ (phi.eval(iq.nodes, (0,))
-                        * jl.apply_adjoint(c, psi).eval(iq.nodes, (0,)))
+    lhs = iq.weights @ (jl.apply_generator(c, phi).eval(iq.nodes)
+                        * psi.eval(iq.nodes))
+    rhs = iq.weights @ (phi.eval(iq.nodes)
+                        * jl.apply_adjoint(c, psi).eval(iq.nodes))
     clauses["adjointness"] = abs(lhs - rhs) <= 1e-6
 
     # scale invariance of the limit exit functional in mu, 1e-12

@@ -307,6 +307,39 @@ def test_cli_bad_numbers_are_error_lines(argv, sections, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+SQUARE_CONFIG = {
+    "domain": {"kind": "rectangle", "x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 1.0},
+    "coefficients": {"k": 0, "intensity": 1.0, "redistribution": 1.0},
+}
+
+
+def _square_with_diffusion(diffusion):
+    return SQUARE_CONFIG | {"coefficients": SQUARE_CONFIG["coefficients"]
+                            | {"diffusion": diffusion}}
+
+
+def test_cli_asymmetric_diffusion_is_an_error_line(tmp_path, capsys):
+    p = tmp_path / "asym.json"
+    p.write_text(json.dumps(_square_with_diffusion([[1.0, 0.3], [0.9, 1.0]])))
+    assert main(["validate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    # a symmetric matrix (equal, separately parsed entries) keeps both off-diagonals
+    spec = build_problem(_square_with_diffusion([[1.0, 0.3], [0.3, 1.0]]))
+    assert np.array_equal(spec.coeffs.diffusion(np.array([0.5, 0.5])), [[1.0, 0.3], [0.3, 1.0]])
+    spec.validate()
+
+
+@pytest.mark.parametrize("flags", [["--dt", "inf"], ["--bins", "0"], ["--bins", "-3"]],
+                         ids=["dt-inf", "bins-0", "bins-minus-3"])
+def test_cli_mc_bad_step_or_bins_is_an_error_line(flags, tmp_path, capsys):
+    argv = ["mc", "--preset", "interval-k0-uniform", "--delta", "0.2", "--paths", "20",
+            "--out", str(tmp_path / "o")]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_cli_sweep_flux_on_a_ring(tmp_path):
     out = tmp_path / "f"
     rc = main(["sweep", "--preset", "annulus-flux", "--experiment", "flux",

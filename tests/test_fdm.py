@@ -75,7 +75,7 @@ def test_annulus_operator_exact_on_r_squared():
     A, B = fdm.assemble_local(delta, spec.coeffs, grid, allow_coarse=True)
     r2 = np.sum((grid.points - spec.domain.origin) ** 2, axis=1)
     out = A @ r2[grid.interior] + B @ r2[grid.boundary]
-    V = spec.coeffs.intensity.eval(grid.points[grid.interior], (0, 0))
+    V = spec.coeffs.intensity.eval(grid.points[grid.interior])
     assert np.allclose(out, 2 * delta - V * r2[grid.interior], rtol=0, atol=1e-10)
 
 
@@ -88,7 +88,7 @@ def test_local_operator_matches_field_operator():
     x = grid.points[:, 0]
     out = A @ x[grid.interior] + B @ x[grid.boundary]
     exact = apply_generator(c, PolyField.from_dict(1, {(1,): 1.0}))
-    target = delta * exact.eval(grid.points[grid.interior], (0,)) - x[grid.interior]
+    target = delta * exact.eval(grid.points[grid.interior]) - x[grid.interior]
     h = grid.spacing[0]
     assert np.max(np.abs(out - target)) <= 5 * h**2
 
@@ -131,7 +131,7 @@ def test_dirichlet_respects_boundary_range():
     grid = fdm.build_grid(spec.domain, 801)
     phi = fdm.solve_exit_functional(1e-3, spec.coeffs, grid)
     h = grid.spacing[0]
-    fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary], (0,))
+    fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary])
     assert np.all(phi.values >= fb.min() - 10 * h**2)
     assert np.all(phi.values <= fb.max() + 10 * h**2)
 
@@ -140,7 +140,7 @@ def test_rank_one_solver_matches_dense():
     spec = preset("interval-k0-asym")
     grid = fdm.build_grid(spec.domain, 50, )
     op = fdm.assemble_operator(2e-3, spec.coeffs, grid, allow_coarse=True)
-    fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary], (0,))
+    fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary])
     rhs = -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
     solver = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior)
     x_fast = solver.solve(rhs)

@@ -30,47 +30,47 @@ PTS = np.linspace(0.05, 0.95, 7).reshape(-1, 1)
 
 def test_generator_constant_diffusion_on_x2():
     g = apply_generator(coeffs_1d(), X2)
-    assert np.allclose(g.eval(PTS, (0,)), 1.0, atol=1e-14)
+    assert np.allclose(g.eval(PTS), 1.0, atol=1e-14)
 
 
 def test_generator_with_drift_on_x():
     g = apply_generator(coeffs_1d(b=const(1, 2.0)), X)
-    assert np.allclose(g.eval(PTS, (0,)), 2.0, atol=1e-14)
+    assert np.allclose(g.eval(PTS), 2.0, atol=1e-14)
 
 
 def test_generator_variable_diffusion():
     # (1/2)((1+x^2) phi')' with phi = x gives x
     a = PolyField.from_dict(1, {(0,): 1.0, (2,): 1.0})
     g = apply_generator(coeffs_1d(a=a), X)
-    assert np.allclose(g.eval(PTS, (0,)), PTS[:, 0], atol=1e-14)
+    assert np.allclose(g.eval(PTS), PTS[:, 0], atol=1e-14)
 
 
 def test_adjoint_equals_generator_without_drift():
     psi = PolyField.from_dict(1, {(3,): 1.0, (1,): -0.5})
     c = coeffs_1d()
-    assert np.allclose(apply_adjoint(c, psi).eval(PTS, (0,)),
-                       apply_generator(c, psi).eval(PTS, (0,)), atol=1e-14)
+    assert np.allclose(apply_adjoint(c, psi).eval(PTS),
+                       apply_generator(c, psi).eval(PTS), atol=1e-14)
 
 
 def test_adjoint_constant_drift_on_x():
     g = apply_adjoint(coeffs_1d(b=const(1, 2.0)), X)
-    assert np.allclose(g.eval(PTS, (0,)), -2.0, atol=1e-14)
+    assert np.allclose(g.eval(PTS), -2.0, atol=1e-14)
 
 
 def test_adjoint_on_quartic_density():
     mu = PolyField.from_dict(1, {(2,): 30.0, (3,): -60.0, (4,): 30.0})
     g = apply_adjoint(coeffs_1d(), mu)
     # (1/2) mu'' at 0 is 30
-    assert g.eval(np.array([[0.0]]), (0,))[0] == pytest.approx(30.0, abs=1e-12)
+    assert g.eval(np.array([[0.0]]))[0] == pytest.approx(30.0, abs=1e-12)
 
 
 def test_adjoint_power_examples():
     c = coeffs_1d()
     psi = PolyField.from_dict(1, {(4,): 1.0})
     assert apply_adjoint_power(c, psi, 0) is psi
-    p1 = apply_adjoint_power(c, psi, 1).eval(PTS, (0,))
-    assert np.allclose(p1, apply_adjoint(c, psi).eval(PTS, (0,)))
-    p2 = apply_adjoint_power(c, psi, 2).eval(PTS, (0,))
+    p1 = apply_adjoint_power(c, psi, 1).eval(PTS)
+    assert np.allclose(p1, apply_adjoint(c, psi).eval(PTS))
+    p2 = apply_adjoint_power(c, psi, 2).eval(PTS)
     assert np.allclose(p2, 6.0, atol=1e-12)  # (1/4) (x^4)'''' = 6
 
 
@@ -79,8 +79,8 @@ def test_adjoint_power_is_iterated_adjoint():
     b = PolyField.from_dict(1, {(0,): 0.3, (1,): -0.2})
     c = coeffs_1d(a=a, b=b)
     psi = PolyField.from_dict(1, {(5,): 1.0, (2,): 2.0})
-    two = apply_adjoint(c, apply_adjoint(c, psi)).eval(PTS, (0,))
-    assert np.array_equal(apply_adjoint_power(c, psi, 2).eval(PTS, (0,)), two)
+    two = apply_adjoint(c, apply_adjoint(c, psi)).eval(PTS)
+    assert np.array_equal(apply_adjoint_power(c, psi, 2).eval(PTS), two)
 
 
 def test_nondivergence_drift():
@@ -133,7 +133,7 @@ def test_derivative_order_errors():
     dom = Domain.interval(0, 1)
     dp = DistPowerField(dom, 2, const(1, 1.0))
     with pytest.raises(DerivativeOrderError):
-        dp(np.array([[0.5]]), beta=(1,))
+        dp.derivative((1,))
     phi = apply_generator(coeffs_1d(), X2)  # order dropped by 2 stays inf for polys
     assert phi.max_order == math.inf
     low = CallableField(lambda x: x**2, dom, max_order=2)
@@ -151,26 +151,26 @@ def test_generator_requires_two_derivatives():
 def test_mixed_partials_commute():
     f = PolyField.from_dict(2, {(2, 1): 1.5, (1, 3): -0.5})
     pts = np.array([[0.3, 0.7], [0.1, 0.2]])
-    a = f.derivative((1, 0)).derivative((0, 1)).eval(pts, (0, 0))
-    b = f.derivative((0, 1)).derivative((1, 0)).eval(pts, (0, 0))
+    a = f.derivative((1, 0)).derivative((0, 1)).eval(pts)
+    b = f.derivative((0, 1)).derivative((1, 0)).eval(pts)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, f.eval(pts, (1, 1)))
+    assert np.array_equal(a, f.derivative((1, 1)).eval(pts))
 
 
 def test_poly_derivatives_match_finite_differences():
     f = PolyField.from_dict(1, {(0,): 0.5, (3,): 2.0, (5,): -1.0})
     x = np.array([[0.4]])
     h = 1e-6
-    fd = (f.eval(np.array([[0.4 + h]]), (0,)) - f.eval(np.array([[0.4 - h]]), (0,))) / (2 * h)
-    assert f.eval(x, (1,))[0] == pytest.approx(fd[0], rel=1e-8)
+    fd = (f.eval(np.array([[0.4 + h]])) - f.eval(np.array([[0.4 - h]]))) / (2 * h)
+    assert f.derivative((1,)).eval(x)[0] == pytest.approx(fd[0], rel=1e-8)
 
 
 def test_trig_wave_derivatives():
     w = TrigWave.make(1, "sin", (3.0,), amp=2.0)
     x = np.array([[0.2]])
-    assert w.eval(x, (0,))[0] == pytest.approx(2 * math.sin(0.6), abs=1e-14)
-    assert w.eval(x, (1,))[0] == pytest.approx(6 * math.cos(0.6), abs=1e-13)
-    assert w.eval(x, (2,))[0] == pytest.approx(-18 * math.sin(0.6), abs=1e-13)
+    assert w.eval(x)[0] == pytest.approx(2 * math.sin(0.6), abs=1e-14)
+    assert w.derivative((1,)).eval(x)[0] == pytest.approx(6 * math.cos(0.6), abs=1e-13)
+    assert w.derivative((2,)).eval(x)[0] == pytest.approx(-18 * math.sin(0.6), abs=1e-13)
 
 
 def test_product_leibniz_second_derivative():
@@ -178,7 +178,7 @@ def test_product_leibniz_second_derivative():
     g = PolyField.from_dict(1, {(3,): 1.0})
     p = Product(f, g)  # x^5
     x = np.array([[0.7]])
-    assert p.eval(x, (2,))[0] == pytest.approx(20 * 0.7**3, abs=1e-13)
+    assert p.derivative((2,)).eval(x)[0] == pytest.approx(20 * 0.7**3, abs=1e-13)
 
 
 def test_callable_field_fallback_and_flag():
@@ -186,10 +186,10 @@ def test_callable_field_fallback_and_flag():
     f = CallableField(lambda x: math.sin(2 * x), dom, max_order=2)
     assert f.reduced_accuracy
     x = np.array([[0.5]])
-    assert f.eval(x, (1,))[0] == pytest.approx(2 * math.cos(1.0), rel=1e-7)
+    assert f.derivative((1,)).eval(x)[0] == pytest.approx(2 * math.cos(1.0), rel=1e-7)
     # one-sided at the boundary
     edge = np.array([[0.0]])
-    assert f.eval(edge, (1,))[0] == pytest.approx(2.0, rel=1e-5)
+    assert f.derivative((1,)).eval(edge)[0] == pytest.approx(2.0, rel=1e-5)
     c = coeffs_1d(V=f)
     assert c.reduced_accuracy
 
@@ -214,8 +214,8 @@ def test_adjointness_1d():
     psi_c = np.convolve(_bump_coeffs_1d(), [1.0, 1.0])  # times (1+x)
     psi = PolyField.from_dict(1, {(i,): v for i, v in enumerate(psi_c) if v})
     iq = dom.interior_quadrature(20001)
-    lhs = iq.weights @ (apply_generator(c, phi).eval(iq.nodes, (0,)) * psi.eval(iq.nodes, (0,)))
-    rhs = iq.weights @ (phi.eval(iq.nodes, (0,)) * apply_adjoint(c, psi).eval(iq.nodes, (0,)))
+    lhs = iq.weights @ (apply_generator(c, phi).eval(iq.nodes) * psi.eval(iq.nodes))
+    rhs = iq.weights @ (phi.eval(iq.nodes) * apply_adjoint(c, psi).eval(iq.nodes))
     assert abs(lhs - rhs) <= 1e-6
 
 
@@ -235,10 +235,10 @@ def test_adjointness_2d_with_cross_terms():
     psi_cx = np.convolve(bump, [1.0, 0.5]).tolist()  # times (1 + x/2)
     psi = _separable_poly(psi_cx, bump)
     iq = dom.interior_quadrature(800)
-    lhs = iq.weights @ (apply_generator(c, phi).eval(iq.nodes, (0, 0))
-                        * psi.eval(iq.nodes, (0, 0)))
-    rhs = iq.weights @ (phi.eval(iq.nodes, (0, 0))
-                        * apply_adjoint(c, psi).eval(iq.nodes, (0, 0)))
+    lhs = iq.weights @ (apply_generator(c, phi).eval(iq.nodes)
+                        * psi.eval(iq.nodes))
+    rhs = iq.weights @ (phi.eval(iq.nodes)
+                        * apply_adjoint(c, psi).eval(iq.nodes))
     assert abs(lhs - rhs) <= 1e-6
 
 
@@ -267,7 +267,7 @@ def test_dist_power_values():
     dom = Domain.interval(0, 1)
     f = DistPowerField(dom, 2, const(1, 3.0))
     pts = np.array([[0.1], [0.5]])
-    assert np.allclose(f.eval(pts, (0,)), [3 * 0.01, 3 * 0.25])
+    assert np.allclose(f.eval(pts), [3 * 0.01, 3 * 0.25])
 
 
 def test_constant_value_detection():

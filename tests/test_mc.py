@@ -312,6 +312,9 @@ def test_sim_config_validation():
     for horizon in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValidationError):
             mc.SimConfig(delta=0.1, dt=1e-3, n_paths=10, horizon=horizon)
+    for delta, dt in ((math.inf, 1e-3), (0.1, math.inf)):
+        with pytest.raises(ValidationError):
+            mc.SimConfig(delta=delta, dt=dt, n_paths=10)
 
 
 def test_bridge_mode_needs_1d():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from jumplab import (CoefficientSet, MatrixField, PolyField, ValidationError,
+from jumplab import (CoefficientSet, Domain, MatrixField, PolyField, ValidationError,
                      VectorField, const, preset)
 from jumplab import theory
+from jumplab.fields import LinearCombo, Product
 from jumplab.experiments import theory_quadratures
 
 
@@ -67,7 +68,7 @@ def test_phi_zero_within_boundary_range():
     f = PolyField.from_dict(1, {(0,): -1.0, (1,): 5.0})
     spec = preset("interval-k0-asym")
     phi0 = theory.limit_exit_functional(spec.coeffs, QUAD, f=f)
-    fvals = f.eval(QUAD.nodes, (0,))
+    fvals = f.eval(QUAD.nodes)
     assert fvals.min() <= phi0 <= fvals.max()
 
 
@@ -117,7 +118,7 @@ def test_adjoint_of_density_depends_on_drift_inside():
     g0 = apply_adjoint(interval_coeffs(mu=MU_QUARTIC, k=2), MU_QUARTIC)
     g1 = apply_adjoint(interval_coeffs(mu=MU_QUARTIC, k=2, b=b), MU_QUARTIC)
     mid = np.array([[0.37]])
-    assert abs(g0.eval(mid, (0,))[0] - g1.eval(mid, (0,))[0]) > 1e-6
+    assert abs(g0.eval(mid)[0] - g1.eval(mid)[0]) > 1e-6
 
 
 def test_reflection_symmetry_even_k():
@@ -161,3 +162,71 @@ def test_evaluate_bundle():
     assert res.exponent == pytest.approx(1.0)
     assert res.phi0 == pytest.approx(0.5, abs=1e-13)
     assert res.prefactor == pytest.approx(6.0, rel=1e-9)
+
+
+ONE_1D = const(1, 1.0)
+X_1D = PolyField.from_dict(1, {(1,): 1.0})
+
+
+def _one_minus(x, one):
+    return LinearCombo(((1.0, one), (-1.0, x)))
+
+
+def _theory_numbers(coeffs, quad, iquad):
+    rep = theory.validate_vanishing_order(coeffs, quad)
+    dens = theory.limit_exit_density(coeffs, quad)
+    pref = theory.decay_rate_prefactor(coeffs, quad, iquad, density=dens)
+    return rep, dens, pref
+
+
+def _assert_same_theory(product_coeffs, poly_coeffs, domain):
+    quad, iquad = theory_quadratures(domain)
+    rep_p, dens_p, pref_p = _theory_numbers(product_coeffs, quad, iquad)
+    rep_e, dens_e, pref_e = _theory_numbers(poly_coeffs, quad, iquad)
+    assert rep_p.passed and rep_e.passed
+    assert rep_p.order_k_max == pytest.approx(rep_e.order_k_max, rel=1e-12)
+    assert rep_p.tol == pytest.approx(rep_e.tol, rel=1e-12)
+    assert max(rep_p.low_order_max, rep_e.low_order_max) <= 1e-12 * rep_e.order_k_max
+    assert np.max(np.abs(dens_p.values - dens_e.values)) <= 1e-12 * np.max(np.abs(dens_e.values))
+    assert dens_p.normalization == pytest.approx(dens_e.normalization, rel=1e-12)
+    assert pref_p == pytest.approx(pref_e, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_product_built_density_matches_expanded_polynomial(k):
+    # mu from Products reaches theory through Leibniz derivatives:
+    # k = 1: 6 x (1-x);  k = 2: 30 x^2 (1-x)^2, with variable a and a drift
+    bump = Product(X_1D, _one_minus(X_1D, ONE_1D))
+    mu_prod = 6 * bump if k == 1 else 30 * Product(bump, bump)
+    mu_poly = MU_BETA22 if k == 1 else MU_QUARTIC
+    a = PolyField.from_dict(1, {(0,): 1.0, (2,): 0.5})
+    b = PolyField.from_dict(1, {(0,): 0.3, (1,): -0.2})
+    _assert_same_theory(interval_coeffs(mu=mu_prod, k=k, a=a, b=b),
+                        interval_coeffs(mu=mu_poly, k=k, a=a, b=b),
+                        Domain.interval(0.0, 1.0))
+
+
+def test_product_built_density_2d_mixed_derivative():
+    # 900 x^2 (1-x)^2 y^2 (1-y)^2 on the unit square, k = 2; the a12 cross
+    # term and the order-2 check both take the (1, 1) Leibniz derivative
+    one = const(2, 1.0)
+    x = PolyField.from_dict(2, {(1, 0): 1.0})
+    y = PolyField.from_dict(2, {(0, 1): 1.0})
+    bx = Product(x, _one_minus(x, one))
+    by = Product(y, _one_minus(y, one))
+    mu_prod = 900 * Product(Product(bx, bx), Product(by, by))
+    quartic = (0.0, 0.0, 1.0, -2.0, 1.0)  # x^2 (1-x)^2
+    mu_poly = PolyField.from_dict(2, {(i, j): 900 * quartic[i] * quartic[j]
+                                      for i in range(5) for j in range(5)})
+    a12 = const(2, 0.3)
+    diffusion = MatrixField(((const(2, 1.0), a12), (a12, const(2, 1.5))))
+    drift = VectorField((PolyField.from_dict(2, {(0, 1): 0.4}), const(2, -0.2)))
+
+    def coeffs(mu):
+        return CoefficientSet(diffusion=diffusion, drift=drift, intensity=const(2, 2.0),
+                              redistribution=mu, boundary_data=x, vanishing_order=2)
+
+    pts = np.array([[0.2, 0.3], [0.6, 0.9], [0.0, 0.4]])
+    assert np.allclose(mu_prod.derivative((1, 1)).eval(pts),
+                       mu_poly.derivative((1, 1)).eval(pts), rtol=1e-12, atol=1e-12)
+    _assert_same_theory(coeffs(mu_prod), coeffs(mu_poly), Domain.rectangle(0.0, 0.0, 1.0, 1.0))
