@@ -9,7 +9,6 @@ The Monte Carlo runs dominate the runtime; --quick shrinks them for a smoke
 pass (about a minute), the full settings match the acceptance suite.
 """
 import argparse
-import json
 import math
 import sys
 import time
@@ -90,10 +89,10 @@ def main(argv=None):
                            exit_mode="bridge-1d",
                            horizon=ex._horizon_from_theory(spec, 0.05),
                            chunk_size=50000)
-        rep = ex.compare_mc_fdm(spec, 0.05, mc_config=cfg, workers=w)
-        summary[f"mc-fdm-{name}"] = {"detail": rep.detail, "pass": rep.passed,
-                                     "diff_over_se": rep.diff_over_se}
-        log(f"  {name}: {rep.detail} -> {'PASS' if rep.passed else 'FAIL'}")
+        res = ex.compare_mc_fdm(spec, mc_config=cfg, workers=w)
+        summary[f"mc-fdm-{name}"] = ex.summary_dict(res)
+        check = res.check("mc_within_3se")
+        log(f"  {name}: {check.detail} -> {'PASS' if check.passed else 'FAIL'}")
 
     log("vanishing-intensity probe, m = 1, 2, 3")
     results, probe_summary = ex.run_probe_suite(lambda m: jl.preset(f"probe-Vm{m}"))
@@ -101,9 +100,7 @@ def main(argv=None):
         ex.write_rows_csv(r.rows, out / f"probe-m{m}.csv")
     summary["probe"] = {str(k): v for k, v in probe_summary.items()}
 
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2, default=str)
-        fh.write("\n")
+    ex.write_summary_json(summary, out / "summary.json")
     ok = all(v.get("pass", True) for v in summary.values() if isinstance(v, dict))
     log(f"done; reports in {out}/ (all asserted checks pass: {ok})")
     return 0 if ok else 1

@@ -17,6 +17,7 @@ from . import experiments, fdm, mc
 from .config import build_problem, load_config
 from .errors import ConfigError, JumplabError
 from .presets import PRESET_NAMES, preset
+from .tables import write_csv
 
 
 def _deltas(items, source):
@@ -51,11 +52,6 @@ def _mc_setting(section, key, default, kinds):
     return value
 
 
-def _load_spec(args):
-    spec, _ = _load_spec_and_doc(args)
-    return spec
-
-
 def _load_spec_and_doc(args):
     """Problem plus the raw config document (for the experiment and mc sections)."""
     if args.preset and args.config:
@@ -74,35 +70,33 @@ def _outdir(args):
     return out
 
 
-def _grid(spec, args, delta):
+def _problem_on_grid(args):
+    """The validated problem, the first --delta, and the grid that resolves it."""
+    spec, _ = _load_spec_and_doc(args)
+    spec.validate()
+    delta = _parse_deltas(args.delta)[0]
     n = args.grid_n or fdm.suggest_resolution(spec.domain, delta, spec.coeffs, factor=0.03)
     angular = {} if args.grid_angular is None else {"n_angular": args.grid_angular}
-    return fdm.build_grid(spec.domain, n, **angular)
+    return spec, delta, fdm.build_grid(spec.domain, n, **angular)
 
 
 def cmd_theory(args):
-    spec = _load_spec(args)
+    spec, _ = _load_spec_and_doc(args)
     report = experiments.theory_report(spec)
     out = _outdir(args)
     experiments.write_summary_json(report, out / "theory.json")
     if args.format == "csv":
-        with open(out / "theory_density.csv", "w") as fh:
-            d = spec.domain.dim
-            fh.write(",".join([f"x{i}" for i in range(d)] + ["weight", "value"]) + "\n")
-            for node, w, v in zip(report["density"]["nodes"],
-                                  report["density"]["weights"],
-                                  report["density"]["values"]):
-                fh.write(",".join(repr(float(c)) for c in node) + f",{w!r},{v!r}\n")
+        density = report["density"]
+        rows = zip(density["nodes"], density["weights"], density["values"])
+        header = [f"x{i}" for i in range(spec.domain.dim)] + ["weight", "value"]
+        write_csv(out / "theory_density.csv", header, ([*x, w, v] for x, w, v in rows))
     print(f"k={report['k']} exponent={report['exponent']} "
           f"phi0={report['phi0']:.8f} C_eig={report['C_eig']:.8f}")
     return 0
 
 
 def cmd_solve(args):
-    spec = _load_spec(args)
-    spec.validate()
-    delta = _parse_deltas(args.delta)[0]
-    grid = _grid(spec, args, delta)
+    spec, delta, grid = _problem_on_grid(args)
     if args.quantity == "u":
         sol = fdm.solve_no_jump_prob(delta, spec.coeffs, grid)
     else:
@@ -119,10 +113,7 @@ def cmd_solve(args):
 
 
 def cmd_eigen(args):
-    spec = _load_spec(args)
-    spec.validate()
-    delta = _parse_deltas(args.delta)[0]
-    grid = _grid(spec, args, delta)
+    spec, delta, grid = _problem_on_grid(args)
     res = fdm.principal_eigenvalue(delta, spec.coeffs, grid)
     out = _outdir(args)
     experiments.write_summary_json({"delta": delta, "lambda0": res.lambda0,
@@ -218,9 +209,7 @@ def cmd_probe(args):
         experiments.write_rows_csv(res.rows, out / f"probe_m{m}.csv")
     payload = {str(m): {"alpha": results[m].meta["alpha"],
                         "alpha_ci": results[m].meta["alpha_ci"]} for m in results}
-    payload["summary"] = {k: (v if not isinstance(v, dict)
-                              else {str(kk): vv for kk, vv in v.items()})
-                          for k, v in summary.items()}
+    payload["summary"] = summary  # json writes the integer orders as string keys
     experiments.write_summary_json(payload, out / "probe.json")
     for m in ms:
         a = results[m].meta["alpha"]
@@ -232,7 +221,7 @@ def cmd_probe(args):
 
 
 def cmd_validate(args):
-    spec = _load_spec(args)
+    spec, _ = _load_spec_and_doc(args)
     try:
         report, vreport = spec.validate()
     except JumplabError as exc:
@@ -252,66 +241,64 @@ def build_parser():
                                             "small-diffusion processes with random jumps")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    # each subcommand registers only the flags its cmd_* reads
+    def problem(sp):
         sp.add_argument("--preset", choices=PRESET_NAMES, help="named problem preset")
         sp.add_argument("--config", help="JSON problem configuration")
+
+    def output(sp):
         sp.add_argument("--out", default="out", help="output directory")
+
+    def fmt(sp):
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--grid-n", type=int, dest="grid_n",
+
+    def grid(sp):
+        sp.add_argument("--grid-n", type=int,
                         help="nodes per axis (default: resolve the boundary layer)")
-        sp.add_argument("--grid-angular", type=int, dest="grid_angular",
+        sp.add_argument("--grid-angular", type=int,
                         help="angular nodes of disk and annulus grids")
 
     def workers(sp):
         sp.add_argument("--workers", type=int, default=1,
                         help="processes that Monte Carlo chunks are spread over")
 
-    sp = sub.add_parser("theory", help="closed-form limit quantities")
-    common(sp)
-    sp.set_defaults(fn=cmd_theory)
+    def command(name, fn, summary, *options):
+        sp = sub.add_parser(name, help=summary)
+        for add in options:
+            add(sp)
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("solve", help="nonlocal Dirichlet / no-jump solves")
-    common(sp)
+    command("theory", cmd_theory, "closed-form limit quantities", problem, output, fmt)
+
+    sp = command("solve", cmd_solve, "nonlocal Dirichlet / no-jump solves",
+                 problem, output, grid)
     sp.add_argument("--delta", required=True)
     sp.add_argument("--quantity", choices=("phi", "u"), default="phi")
-    sp.set_defaults(fn=cmd_solve)
 
-    sp = sub.add_parser("eigen", help="principal decay rate")
-    common(sp)
+    sp = command("eigen", cmd_eigen, "principal decay rate", problem, output, fmt, grid)
     sp.add_argument("--delta", required=True)
-    sp.set_defaults(fn=cmd_eigen)
 
-    sp = sub.add_parser("mc", help="Monte Carlo exit-law estimate")
-    common(sp)
-    workers(sp)
+    sp = command("mc", cmd_mc, "Monte Carlo exit-law estimate", problem, output, workers)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--delta", required=True)
-    sp.add_argument("--paths", type=int, default=None)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--exit-mode", choices=("first-crossing", "bridge-1d"),
-                    default=None, dest="exit_mode")
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--bins", type=int, default=None)
-    sp.add_argument("--save-paths", action="store_true", dest="save_paths")
-    sp.set_defaults(fn=cmd_mc)
+    sp.add_argument("--paths", type=int)
+    sp.add_argument("--dt", type=float)
+    sp.add_argument("--exit-mode", choices=("first-crossing", "bridge-1d"))
+    sp.add_argument("--horizon", type=float)
+    sp.add_argument("--bins", type=int)
+    sp.add_argument("--save-paths", action="store_true")
 
-    sp = sub.add_parser("sweep", help="delta sweeps with fits and checks")
-    common(sp)
-    workers(sp)
-    sp.add_argument("--experiment", default=None,
-                    choices=("exit-law", "eigenvalue", "flux", "decay"))
+    sp = command("sweep", cmd_sweep, "delta sweeps with fits and checks",
+                 problem, output, workers)
+    sp.add_argument("--experiment", choices=("exit-law", "eigenvalue", "flux", "decay"))
     sp.add_argument("--delta", help="comma-separated list")
-    sp.set_defaults(fn=cmd_sweep)
 
-    sp = sub.add_parser("probe", help="vanishing-intensity decay-order probe")
-    common(sp)
+    sp = command("probe", cmd_probe, "vanishing-intensity decay-order probe", output)
     sp.add_argument("--m", default="1,2,3", help="comma-separated vanishing orders")
     sp.add_argument("--delta", help="comma-separated list")
-    sp.set_defaults(fn=cmd_probe)
 
-    sp = sub.add_parser("validate", help="coefficient and vanishing-order checks")
-    common(sp)
-    sp.set_defaults(fn=cmd_validate)
+    command("validate", cmd_validate, "coefficient and vanishing-order checks", problem)
     return p
 
 

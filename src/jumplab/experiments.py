@@ -2,12 +2,17 @@
 
 Every experiment validates its problem first, runs the solvers over a delta
 list in order, and returns a SweepResult: tabular rows, an optional power-law
-fit, and named pass/fail checks.  The check tolerances are the module
-constants below, the boundary data is the problem's own, and the Monte Carlo
-legs of the exit-law sweep use one fixed configuration.  ``workers`` exists
-only where a Monte Carlo ensemble runs, and spreads its chunks over
-processes.  CSV and JSON writers format floats with repr, so reruns with a
-fixed configuration are byte-identical at any worker count.
+fit, and named pass/fail checks.  The cross-method comparisons
+(``compare_mc_fdm``, ``compare_no_jump_probability``) return a SweepResult
+too: an mc row, an fdm row and one ``mc_within_3se`` check, at the delta of
+their Monte Carlo configuration.  That check has one rule, shared with the
+exit-law sweep.  The check tolerances are the module constants below, the
+boundary data is the problem's own, and the Monte Carlo legs of the exit-law
+sweep use one fixed configuration.  ``workers`` exists only where a Monte
+Carlo ensemble runs, and spreads its chunks over processes.  Rows go to CSV
+through ``tables.write_csv`` and summaries to JSON through
+``write_summary_json``; floats are written with repr, so reruns with a fixed
+configuration are byte-identical at any worker count.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ from .errors import ValidationError
 from .fitting import PowerLawFit, fit_power_law, fit_slope
 from .presets import ProblemSpec
 from .geometry import Domain, Ring
+from .tables import write_csv
 
 #: harness default sweep
 DEFAULT_DELTAS = (1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4)
@@ -41,7 +47,7 @@ DECAY_SLOPE_RTOL = 0.05      # interior decay slope against its expected value
 class SweepRow:
     delta: float
     method: str     # fdm | mc | theory
-    quantity: str   # phi | lambda0 | flux | u-center
+    quantity: str   # phi | lambda0 | flux | u-center | no-jump-mass
     value: float
     stderr: float = 0.0
 
@@ -115,6 +121,13 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def _mc_within_3se(mean, stderr, reference):
+    """The one Monte Carlo gate: the mean lies within 3 standard errors of FDM."""
+    gap = abs(mean - reference)
+    return Check("mc_within_3se", gap <= 3 * stderr + 1e-30, gap, 0.0, 3 * stderr,
+                 detail=f"mc={mean:.6f} (se {stderr:.2e}) vs fdm={reference:.6f}")
+
+
 # ---------------------------------------------------------------------------
 # exit-law limit experiment
 
@@ -159,7 +172,6 @@ def run_exit_law_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS, x0=None,
     gaps = [abs(v[0] - phi0) for v in vals]
     monotone = all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
     xdiff = _rel(vals[-1][1], vals[-1][0])
-    mc_gap = abs(est.mean_f - vals[0][0])
     checks = [
         Check("gap_decreasing", monotone, gaps[-1], 0.0, 0.0,
               detail=f"|phi_fdm - phi0| along sweep: {[f'{g:.3e}' for g in gaps]}"),
@@ -167,9 +179,7 @@ def run_exit_law_experiment(spec: ProblemSpec, deltas=DEFAULT_DELTAS, x0=None,
               X_INDEPENDENCE_RTOL,
               detail=f"phi({x0_alt})={vals[-1][1]:.6f} vs phi({x0})={vals[-1][0]:.6f} "
                      f"at delta={deltas[-1]:g}"),
-        Check("mc_within_3se", mc_gap <= 3 * est.stderr_f + 1e-30, mc_gap, 0.0,
-              3 * est.stderr_f,
-              detail=f"mc={est.mean_f:.6f} (se {est.stderr_f:.2e}) vs fdm={vals[0][0]:.6f}"),
+        _mc_within_3se(est.mean_f, est.stderr_f, vals[0][0]),
     ]
     return SweepResult("exit-law", rows, checks,
                        meta={"phi0": phi0, "x0": x0.tolist(), "x0_alt": x0_alt.tolist(),
@@ -380,33 +390,21 @@ def run_probe_suite(make_spec, ms=(1, 2, 3), deltas=DEFAULT_DELTAS):
 # cross-method comparisons
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    mc_value: float
-    mc_stderr: float
-    fdm_value: float
-    abs_diff: float
-    diff_over_se: float
-    passed: bool
-    detail: str = ""
-
-
-def compare_mc_fdm(spec: ProblemSpec, delta, mc_config, workers=1) -> CompareReport:
+def compare_mc_fdm(spec: ProblemSpec, mc_config, workers=1) -> SweepResult:
     """Monte Carlo exit mean of the boundary data against the nonlocal Dirichlet
-    solve (grid factor 0.02), at the problem's start point."""
+    solve (grid factor 0.02), at the problem's start point and ``mc_config.delta``."""
     spec.validate()
+    delta = mc_config.delta
     x0 = np.asarray(spec.start_point(), dtype=float)
     f = spec.coeffs.boundary_data
     est = mc.estimate_exit_law(x0, spec.coeffs, spec.domain, mc_config, f=f,
                                workers=workers)
-    sol = fdm.solve_exit_functional(delta, spec.coeffs, _grid_for(spec, delta, 0.02), f=f)
-    phi = sol.at(x0)
-    diff = abs(est.mean_f - phi)
-    ratio = diff / est.stderr_f if est.stderr_f > 0 else math.inf if diff > 0 else 0.0
-    return CompareReport(est.mean_f, est.stderr_f, phi, diff, ratio,
-                         passed=ratio <= 3.0,
-                         detail=f"mc={est.mean_f:.6f}+/-{est.stderr_f:.2e} "
-                                f"fdm={phi:.6f} at delta={delta:g}")
+    grid = _grid_for(spec, delta, 0.02)
+    phi = fdm.solve_exit_functional(delta, spec.coeffs, grid, f=f).at(x0)
+    rows = [SweepRow(delta, "mc", "phi", est.mean_f, est.stderr_f),
+            SweepRow(delta, "fdm", "phi", phi)]
+    return SweepResult("mc-fdm", rows, [_mc_within_3se(est.mean_f, est.stderr_f, phi)],
+                       meta={"preset": spec.name, "x0": x0.tolist()})
 
 
 def discrete_no_jump_mass(spec: ProblemSpec, delta, grid_factor=0.03):
@@ -428,21 +426,22 @@ def no_jump_mass_limit(spec: ProblemSpec):
     return density.normalization / theory.parity_divisor(spec.coeffs.vanishing_order)
 
 
-def compare_no_jump_probability(spec: ProblemSpec, delta, mc_config,
-                                grid_factor=0.03, workers=1) -> CompareReport:
-    """MC estimate of P(exit before the first jump) vs the discrete mu-mass.
+def compare_no_jump_probability(spec: ProblemSpec, mc_config, grid_factor=0.03,
+                                workers=1) -> SweepResult:
+    """MC estimate of P(exit before the first jump) vs the discrete mu-mass,
+    at ``mc_config.delta``.
 
     Paths start from the redistribution density and stop at their first jump.
     """
     spec.validate()
+    delta = mc_config.delta
     p, se = mc.exit_before_jump_probability(spec.coeffs, spec.domain, mc_config,
                                             workers=workers)
     mass = discrete_no_jump_mass(spec, delta, grid_factor=grid_factor)
-    diff = abs(p - mass)
-    ratio = diff / se if se > 0 else math.inf if diff > 0 else 0.0
-    return CompareReport(p, se, mass, diff, ratio, passed=ratio <= 3.0,
-                         detail=f"mc={p:.6f}+/-{se:.2e} fdm mass={mass:.6f} "
-                                f"at delta={delta:g}")
+    rows = [SweepRow(delta, "mc", "no-jump-mass", p, se),
+            SweepRow(delta, "fdm", "no-jump-mass", mass)]
+    return SweepResult("no-jump-probability", rows, [_mc_within_3se(p, se, mass)],
+                       meta={"preset": spec.name})
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +449,8 @@ def compare_no_jump_probability(spec: ProblemSpec, delta, mc_config,
 
 
 def write_rows_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write("delta,method,quantity,value,stderr\n")
-        for r in rows:
-            fh.write(f"{r.delta!r},{r.method},{r.quantity},{r.value!r},{r.stderr!r}\n")
+    write_csv(path, ["delta", "method", "quantity", "value", "stderr"],
+              ((r.delta, r.method, r.quantity, r.value, r.stderr) for r in rows))
 
 
 def _fit_dict(fit: PowerLawFit | None):

@@ -28,6 +28,7 @@ import scipy.sparse.linalg as spla
 from .errors import SolverError, ValidationError
 from .fields import CoefficientSet
 from .geometry import Box, Domain
+from .tables import write_csv
 
 # Excised-core radius of polar disk grids, relative to the disk radius.  The
 # core gets a reflecting closure; a controlled perturbation at this scale.
@@ -362,12 +363,8 @@ class GridFunction:
         return float(value)
 
     def to_csv(self, path):
-        d = self.grid.points.shape[1]
-        header = ",".join([f"x{i}" for i in range(d)] + ["value"])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for p, v in zip(self.grid.points, self.values):
-                fh.write(",".join(repr(float(c)) for c in p) + f",{v!r}\n")
+        header = [f"x{i}" for i in range(self.grid.points.shape[1])] + ["value"]
+        write_csv(path, header, np.column_stack([self.grid.points, self.values]))
 
 
 def _on_grid(grid: Grid, interior_values, boundary_values) -> GridFunction:
@@ -376,14 +373,13 @@ def _on_grid(grid: Grid, interior_values, boundary_values) -> GridFunction:
     return GridFunction(grid, values)
 
 
-def solve_no_jump_prob(delta, coeffs: CoefficientSet, grid: Grid,
-                       allow_coarse=False) -> GridFunction:
+def solve_no_jump_prob(delta, coeffs: CoefficientSet, grid: Grid) -> GridFunction:
     """Probability of reaching the boundary before the exponential clock rings.
 
     Solves delta*G u = V u in the domain with u = 1 on the boundary; the
     discrete maximum principle keeps interior values in (0, 1].
     """
-    A_loc, B_bc = assemble_local(delta, coeffs, grid, allow_coarse=allow_coarse)
+    A_loc, B_bc = assemble_local(delta, coeffs, grid)
     ui = _LocalSolver(A_loc).solve(-(B_bc @ np.ones(len(grid.boundary))))
     if not np.all(np.isfinite(ui)):
         raise SolverError("singular or ill-conditioned local solve")
@@ -412,8 +408,7 @@ class EigenResult:
     residual: float
 
 
-def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid,
-                         allow_coarse=False) -> EigenResult:
+def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid) -> EigenResult:
     """Smallest decay rate of the killed process, by inverse power iteration.
 
     Homogeneous Dirichlet data: the redistribution row is restricted to
@@ -424,7 +419,7 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid,
     relative (plus the cancellation floor) in one step; 10,000 steps without
     that raise SolverError.
     """
-    op = assemble_operator(delta, coeffs, grid, allow_coarse=allow_coarse)
+    op = assemble_operator(delta, coeffs, grid)
     solver = RankOneSolver(op.A_loc, op.v, op.w_interior)
     apply_negM = lambda psi: -(op.A_loc @ psi + op.v * (op.w_interior @ psi))
 

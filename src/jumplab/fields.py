@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -464,14 +464,17 @@ class CoefficientSet:
     vanishing_order: int
     allow_vanishing_intensity: bool = False
 
+    def __post_init__(self):
+        k = self.vanishing_order
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise ValidationError(f"the vanishing order must be an integer >= 0, got {k!r}")
+
     @property
     def dim(self):
         return self.diffusion.dim
 
     def with_drift(self, drift: VectorField):
-        return CoefficientSet(self.diffusion, drift, self.intensity,
-                              self.redistribution, self.boundary_data,
-                              self.vanishing_order, self.allow_vanishing_intensity)
+        return replace(self, drift=drift)
 
     @property
     def reduced_accuracy(self):
@@ -486,7 +489,8 @@ def validate_coefficients(domain: Domain, coeffs: CoefficientSet):
 
     Raises ValidationError on: non-SPD diffusion, non-positive intensity
     (unless explicitly allowed for vanishing-intensity probes), negative
-    redistribution density, or redistribution mass off 1 beyond 1e-6.
+    redistribution density, or redistribution mass off 1 beyond 1e-6.  Each
+    test is written so that a NaN fails it.
     The sample is 400 interior nodes in 1D, 80 per axis in 2D, plus 64
     boundary nodes.  Returns a small report dict.
     """
@@ -496,22 +500,22 @@ def validate_coefficients(domain: Domain, coeffs: CoefficientSet):
 
     amat = coeffs.diffusion(sample)
     eigmin = float(np.min(np.linalg.eigvalsh(amat)))
-    if eigmin <= 0.0:
+    if not eigmin > 0.0:
         raise ValidationError(f"diffusion matrix not positive definite: min eigenvalue {eigmin:.3e}")
 
     v = coeffs.intensity(sample)
     vmin_interior = float(np.min(coeffs.intensity(iq.nodes)))
-    if not coeffs.allow_vanishing_intensity and np.min(v) <= 0.0:
+    if not coeffs.allow_vanishing_intensity and not np.min(v) > 0.0:
         raise ValidationError(f"intensity must be positive on the closure, min = {np.min(v):.3e}")
-    if coeffs.allow_vanishing_intensity and vmin_interior < 0.0:
+    if coeffs.allow_vanishing_intensity and not vmin_interior >= 0.0:
         raise ValidationError("intensity negative inside the domain")
 
     mu = coeffs.redistribution(sample)
-    if np.min(mu) < -1e-12 * max(1.0, np.max(np.abs(mu))):
+    if not np.min(mu) >= -1e-12 * max(1.0, np.max(np.abs(mu))):
         raise ValidationError(f"redistribution density negative: min = {np.min(mu):.3e}")
     big = domain.interior_quadrature(10**5 if domain.dim == 1 else 1000)
     mass = float(big.weights @ coeffs.redistribution(big.nodes))
-    if abs(mass - 1.0) > 1e-6:
+    if not abs(mass - 1.0) <= 1e-6:
         raise ValidationError(f"redistribution mass is {mass:.8f}, expected 1 within 1e-06")
 
     return {

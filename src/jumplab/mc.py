@@ -22,6 +22,7 @@ import numpy as np
 from .errors import SamplingError, SolverError, ValidationError
 from .fields import CoefficientSet, nondivergence_drift
 from .geometry import Domain
+from .tables import write_csv
 
 # Bridge crossings with exponent beyond this are treated as impossible
 # (probability below e^-40); keeps the exp() work on the boundary layer only.
@@ -85,14 +86,10 @@ class PathEnsemble:
 
     def to_csv(self, path):
         d = self.exit_points.shape[1]
-        cols = ["path"] + [f"exit_x{i}" for i in range(d)] + ["exit_time", "jumps", "status"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for p in range(self.n_paths):
-                row = [str(p)] + [repr(float(c)) for c in self.exit_points[p]]
-                row += [repr(float(self.exit_times[p])), str(int(self.jump_counts[p])),
-                        str(int(self.status[p]))]
-                fh.write(",".join(row) + "\n")
+        header = ["path"] + [f"exit_x{i}" for i in range(d)] + ["exit_time", "jumps", "status"]
+        rows = zip(range(self.n_paths), self.exit_points, self.exit_times,
+                   self.jump_counts, self.status)
+        write_csv(path, header, ([p, *x, t, j, s] for p, x, t, j, s in rows))
 
 
 def _chunk_rng(seed, chunk_index):

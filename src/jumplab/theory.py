@@ -166,9 +166,8 @@ def validate_vanishing_order(coeffs: CoefficientSet,
             f"but vanishing order {k} was declared")
 
     kth = np.concatenate([np.abs(mu.derivative(b).eval(quad.nodes))
-                          for b in multi_indices(d, k)]) \
-        if k >= 0 else np.array([0.0])
-    scale = float(np.max(kth)) if len(kth) else 0.0
+                          for b in multi_indices(d, k)])
+    scale = float(np.max(kth))
     tol = 1e-8 * scale if scale > 0 else np.finfo(float).tiny
 
     low_max = 0.0

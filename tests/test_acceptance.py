@@ -142,13 +142,13 @@ def test_criterion_07_mc_fdm_cross_validation():
                            exit_mode="bridge-1d",
                            horizon=ex._horizon_from_theory(spec, 0.05),
                            chunk_size=50000)
-        rep = ex.compare_mc_fdm(spec, 0.05, mc_config=cfg, workers=2)
-        results.append((name, rep))
-    ok = all(r.passed for _, r in results)
-    detail = "; ".join(f"{n}: |diff|/se={r.diff_over_se:.2f}" for n, r in results)
-    report(7, ok, detail + " (need <= 3)")
-    for n, r in results:
-        assert r.passed, f"{n}: {r.detail}"
+        res = ex.compare_mc_fdm(spec, mc_config=cfg, workers=2)
+        results.append((name, res.check("mc_within_3se")))
+    ok = all(c.passed for _, c in results)
+    detail = "; ".join(f"{n}: |diff|={c.value:.2e}" for n, c in results)
+    report(7, ok, detail + " (need <= 3 se)")
+    for n, c in results:
+        assert c.passed, f"{n}: {c.detail}"
 
 
 def test_criterion_08_disk_exit_angle_uniformity():
@@ -173,11 +173,11 @@ def test_criterion_09_no_jump_mass_vs_mc():
     spec = jl.preset("interval-k0-uniform")
     cfg = mc.SimConfig(delta=0.05, dt=1e-4, n_paths=20000, seed=37,
                        exit_mode="bridge-1d", horizon=None)
-    rep = ex.compare_no_jump_probability(spec, 0.05, mc_config=cfg,
-                                         grid_factor=0.02, workers=2)
-    report(9, rep.passed, f"P(exit before first jump): {rep.detail}, "
-                          f"|diff|/se={rep.diff_over_se:.2f} (need <= 3)")
-    assert rep.passed, rep.detail
+    check = ex.compare_no_jump_probability(spec, mc_config=cfg, grid_factor=0.02,
+                                           workers=2).check("mc_within_3se")
+    report(9, check.passed, f"P(exit before first jump): {check.detail}, "
+                            f"|diff|={check.value:.2e} (need <= 3 se = {check.tol:.2e})")
+    assert check.passed, check.detail
 
 
 def test_criterion_10_no_jump_mass_scaling():

@@ -235,14 +235,14 @@ def test_cli_sweep_eigenvalue_even_k(tmp_path):
 
 
 def test_cli_validate_pass_and_fail(tmp_path):
-    assert main(["validate", "--preset", "interval-k2-quartic", "--out", str(tmp_path)]) == 0
+    assert main(["validate", "--preset", "interval-k2-quartic"]) == 0
     bad = dict(ASYM_CONFIG)
     bad["coefficients"] = dict(ASYM_CONFIG["coefficients"],
                                redistribution={"poly": {"1": 6.0, "2": -6.0}})
     # beta22 density declared k=0: the vanishing-order gate must fail
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
-    assert main(["validate", "--config", str(p), "--out", str(tmp_path)]) == 1
+    assert main(["validate", "--config", str(p)]) == 1
 
 
 def test_cli_probe_smoke(tmp_path):
@@ -259,13 +259,29 @@ def test_cli_requires_problem():
     assert main(["theory"]) == 2
 
 
+PRESET = ["--preset", "interval-k0-uniform"]
+
+
 @pytest.mark.parametrize("argv", [
     ["probe", "--workers", "4"],
-    ["eigen", "--preset", "interval-k0-uniform", "--delta", "1e-3", "--workers", "2"],
-    ["sweep", "--preset", "interval-k0-uniform", "--seed", "3"],
+    ["eigen", *PRESET, "--delta", "1e-3", "--workers", "2"],
+    ["sweep", *PRESET, "--seed", "3"],
+    ["theory", *PRESET, "--grid-n", "11"],
+    ["theory", *PRESET, "--grid-angular", "16"],
+    ["solve", *PRESET, "--delta", "1e-2", "--format", "csv"],
+    ["mc", *PRESET, "--delta", "0.2", "--paths", "20", "--format", "csv"],
+    ["mc", *PRESET, "--delta", "0.2", "--paths", "20", "--grid-n", "11"],
+    ["sweep", *PRESET, "--experiment", "decay", "--grid-n", "3"],
+    ["sweep", *PRESET, "--experiment", "decay", "--format", "csv"],
+    ["probe", *PRESET, "--m", "1", "--delta", "1e-2,1e-3"],
+    ["probe", "--config", "c.json"],
+    ["probe", "--m", "1", "--delta", "1e-2,1e-3", "--grid-n", "11"],
+    ["validate", *PRESET, "--out", "o"],
+    ["validate", *PRESET, "--format", "csv"],
+    ["validate", *PRESET, "--grid-angular", "16"],
 ])
 def test_cli_rejects_flags_the_command_does_not_read(argv):
-    # only mc and sweep spread Monte Carlo over workers, and only mc takes a seed
+    # each command registers only the flags it reads; any other is a usage error
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -296,8 +312,10 @@ EIGEN = ["eigen", "--preset", "interval-k0-uniform"]
     (["mc", "--delta", "0.2"], {"mc": [1]}),
     (["sweep"], {"experiment": {"kind": "decay", "deltas": ["a"]}}),
     (["sweep"], {"experiment": {"kind": "decay", "deltas": 0.1}}),
+    (["theory"], {"k": -1}),
 ], ids=["delta-text", "delta-empty", "delta-zero", "delta-negative", "delta-nan", "m-text",
-        "mc-dt-text", "mc-chunk-size-text", "mc-not-object", "deltas-text", "deltas-scalar"])
+        "mc-dt-text", "mc-chunk-size-text", "mc-not-object", "deltas-text", "deltas-scalar",
+        "k-negative"])
 def test_cli_bad_numbers_are_error_lines(argv, sections, tmp_path, capsys):
     if sections is not None:
         p = tmp_path / "bad.json"
@@ -321,7 +339,7 @@ def _square_with_diffusion(diffusion):
 def test_cli_asymmetric_diffusion_is_an_error_line(tmp_path, capsys):
     p = tmp_path / "asym.json"
     p.write_text(json.dumps(_square_with_diffusion([[1.0, 0.3], [0.9, 1.0]])))
-    assert main(["validate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert main(["validate", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     # a symmetric matrix (equal, separately parsed entries) keeps both off-diagonals
@@ -351,6 +369,25 @@ def test_cli_sweep_flux_on_a_ring(tmp_path):
     assert len((out / "boundary-flux.csv").read_text().strip().splitlines()) == 3
 
 
+def test_cli_csv_cells_are_plain_floats(tmp_path):
+    # every cell but the method and quantity names parses as a float (no numpy reprs)
+    out = tmp_path / "o"
+    assert main(["solve", *PRESET, "--delta", "1e-2", "--grid-n", "21", "--out", str(out)]) == 0
+    assert main(["eigen", *PRESET, "--delta", "1e-2", "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert main(["sweep", *PRESET, "--experiment", "flux", "--out", str(out)]) == 0
+    for name in ("phi_grid.csv", "eigenfunction.csv", "boundary-flux.csv"):
+        header, *lines = (out / name).read_text().strip().splitlines()
+        columns = header.split(",")
+        assert lines
+        for line in lines:
+            cells = line.split(",")
+            assert len(cells) == len(columns)
+            for column, cell in zip(columns, cells):
+                if column not in ("method", "quantity"):
+                    float(cell)
+
+
 FULL_CONFIG = {
     "name": "beta22-from-config",
     "domain": {"kind": "interval", "a": 0.0, "b": 1.0},
@@ -371,7 +408,7 @@ def test_cli_full_config_sections(tmp_path):
     p.write_text(json.dumps(FULL_CONFIG))
     out = tmp_path / "o"
     # top-level k reaches the coefficients
-    assert main(["validate", "--config", str(p), "--out", str(out)]) == 0
+    assert main(["validate", "--config", str(p)]) == 0
     # sweep picks experiment.kind and experiment.deltas from the config
     assert main(["sweep", "--config", str(p), "--out", str(out)]) == 0
     assert (out / "interior-decay.csv").exists()

@@ -261,6 +261,17 @@ def test_validate_coefficients_reports_and_raises():
         vanishing_order=0)
     with pytest.raises(ValidationError):
         validate_coefficients(Domain.disk(0, 0, 1), indef)
+    # every check fails on NaN, not only on values past its bound
+    nan = const(1, math.nan)
+    for bad in (coeffs_1d(a=nan), coeffs_1d(V=nan), coeffs_1d(mu=nan)):
+        with pytest.raises(ValidationError):
+            validate_coefficients(dom, bad)
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, "1", True])
+def test_vanishing_order_must_be_a_nonnegative_integer(k):
+    with pytest.raises(ValidationError):
+        coeffs_1d(k=k)
 
 
 def test_dist_power_values():

@@ -298,8 +298,10 @@ def test_compare_no_jump_probability_report():
     spec = preset("interval-k0-uniform")
     cfg = mc.SimConfig(delta=0.05, dt=5e-4, n_paths=20000, seed=21,
                        exit_mode="bridge-1d", horizon=None)
-    rep = compare_no_jump_probability(spec, 0.05, mc_config=cfg)
-    assert rep.passed, rep.detail
+    res = compare_no_jump_probability(spec, mc_config=cfg)
+    # both legs run at the delta of the Monte Carlo configuration
+    assert [(r.method, r.delta) for r in res.rows] == [("mc", 0.05), ("fdm", 0.05)]
+    assert res.passed, res.check("mc_within_3se").detail
 
 
 def test_sim_config_validation():
