@@ -90,10 +90,14 @@ def parse_coefficients(node, domain: Domain, k=None) -> CoefficientSet:
     if not isinstance(node, dict):
         raise ConfigError(f"coefficients section must be an object, got {node!r}")
     try:
-        k = int(node["k"] if k is None else k)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        k = node["k"] if k is None else k
+    except KeyError as exc:
         raise ConfigError("an integer vanishing order 'k' is required "
                           "(top level or in the coefficients section)") from exc
+    if isinstance(k, float) and k.is_integer():
+        k = int(k)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ConfigError(f"the vanishing order 'k' must be an integer, got {k!r}")
 
     diff = node.get("diffusion", 1.0)
     if isinstance(diff, list):

@@ -196,12 +196,13 @@ def _check_layer_resolution(delta, coeffs, grid, allow_coarse):
     h = max(hk for hk, ends in zip(grid.spacing, grid.dirichlet) if ends)
     limit = 0.5 * math.sqrt(delta * amin / vmax)
     if h > limit:
-        msg = (f"grid spacing {h:.3e} does not resolve the boundary layer "
-               f"(limit {limit:.3e} = 0.5*sqrt(delta*a_min/V_max))")
+        msg = (f"grid spacing {h:.3e} does not resolve the boundary layer: it must be "
+               f"<= {limit:.3e} = 0.5*sqrt(delta*a_min/V_max); raise --grid-n or the "
+               f"grid factor")
         if allow_coarse:
             warnings.warn(msg)
         else:
-            raise ValidationError(msg + "; pass allow_coarse=True to override")
+            raise ValidationError(msg)
 
 
 def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False):

@@ -236,18 +236,29 @@ class Box(Domain):
     def _nearest_face(self, pts):
         """(axis, upper) of the face nearest each point; ties go to the first axis
         and then to its lower face."""
-        lo, hi = self.bounding_box
+        lo, hi = self._corners
         gaps = np.stack([pts - lo, hi - pts], axis=2).reshape(len(pts), -1)
         face = np.argmin(np.abs(gaps), axis=1)
         return face // 2, face % 2 == 1
 
+    @functools.cached_property
+    def _corners(self):
+        """``bounding_box``, built once; read only."""
+        return self.bounding_box
+
     def _project(self, pts):
-        lo, hi = self.bounding_box
-        out = np.clip(pts, lo, hi)
-        # a clipped point has a zero gap to the face it landed on, so moving every
-        # point onto its nearest face moves only the inside ones
-        axis, upper = self._nearest_face(out)
-        out[np.arange(len(out)), axis] = np.where(upper, hi[axis], lo[axis])
+        lo, hi = self._corners
+        low, high = pts <= lo, pts >= hi
+        # clip, writing a face's own value onto the coordinates that reach it
+        out = np.where(low, lo, np.where(high, hi, pts))
+        # a row that clipped onto a face is its nearest boundary point already; only
+        # rows strictly inside go through the face search
+        on_face = low | high
+        if np.count_nonzero(on_face) < on_face.size:  # some coordinate is inside
+            rows = np.flatnonzero(~on_face.any(axis=1))
+            if len(rows):
+                axis, upper = self._nearest_face(out[rows])
+                out[rows, axis] = np.where(upper, hi[axis], lo[axis])
         return out
 
     def _normal(self, pts):

@@ -1,9 +1,28 @@
 """Monte Carlo simulation of the jump-redistributed diffusion.
 
-A path moves by Euler steps of the small-diffusion process (drift
-delta*(b + div(a)/2), covariance delta*a), accrues an exponential clock at
-rate V along the way, teleports to a fresh draw from the redistribution
-density when the clock rings, and stops on leaving the domain.
+A path follows the Euler chain of the small-diffusion process (drift
+delta*(b + div(a)/2), covariance delta*a, time step dt), teleports to a fresh
+draw from the redistribution density when its jump clock of rate V rings, and
+stops on leaving the domain.
+
+Each lane keeps its own integer step counter t.  One lockstep iteration
+advances a lane by a block of m steps: one Gaussian draw scaled by sqrt(m),
+drift times m, and (for the 1D bridge) the step variance times m.  When a and
+b are constant, m is the largest power of 2 with
+r^2 >= 2*d*BRIDGE_EXPONENT_CUTOFF*m*delta*lambda_max(a)*dt, where r is the
+lane's distance to the boundary net of the block's drift shift, so the path
+touches the boundary inside a block with probability below 4d*e^-40: exit
+points, the step grid of exit times, the first-crossing bias and the bridge
+correction stay those of the one-step chain.  Otherwise m = 1.
+
+The jump clock is thinned: it rings at the bound Vbar of V, at the step
+ring = t + ceil(E / (Vbar*dt)) for a fresh unit exponential E, and a ring is
+a jump with probability V(x)/Vbar.  Vbar is V itself when V is constant (every
+ring jumps and no uniform is drawn); otherwise it is 1.05 times the largest V
+on the sample the redistribution sampler bounds mu on, and a lane where V
+exceeds it raises SamplingError.  A block never covers a ring step, so a ring
+happens at its exact step.  A lane retires on exit, on its first jump in
+stop-at-first-jump mode, or when t reaches the horizon.
 
 Paths are simulated in lockstep chunks.  Each chunk owns a counter-based
 random stream derived from (master seed, chunk index), so results are
@@ -31,6 +50,9 @@ BRIDGE_EXPONENT_CUTOFF = 40.0
 STATUS_EXIT = 0
 STATUS_CENSORED = 1
 STATUS_JUMPED = 2  # only in stop-at-first-jump mode
+
+# Ring step of a clock whose rate bound is zero: past any horizon.
+NEVER = 2**62
 
 
 @dataclass(frozen=True)
@@ -70,6 +92,8 @@ class PathEnsemble:
     exit_times: np.ndarray   # (N,) time of retirement
     jump_counts: np.ndarray  # (N,)
     status: np.ndarray       # (N,) STATUS_*
+    lane_steps: int          # blocks simulated, summed over lanes
+    iterations: int          # lockstep iterations, summed over chunks
 
     @property
     def n_paths(self):
@@ -97,6 +121,14 @@ def _chunk_rng(seed, chunk_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _bound_sample(domain: Domain, resolution=2048):
+    """Points that the sampler and the jump clock take their bounds on: a dense
+    interior grid (``resolution`` nodes in 1D, 256 per axis in 2D) and the boundary."""
+    res = resolution if domain.dim == 1 else 256
+    return np.concatenate([domain.interior_quadrature(res).nodes,
+                           domain.boundary_quadrature(256).nodes])
+
+
 class MuSampler:
     """Rejection sampler for the redistribution density.
 
@@ -110,10 +142,7 @@ class MuSampler:
         self.domain = domain
         self.mu = coeffs.redistribution
         self.dim = domain.dim
-        res = sample_resolution if domain.dim == 1 else 256
-        sample = np.concatenate([domain.interior_quadrature(res).nodes,
-                                 domain.boundary_quadrature(256).nodes])
-        peak = float(np.max(self.mu.eval(sample)))
+        peak = float(np.max(self.mu.eval(_bound_sample(domain, sample_resolution))))
         if not peak > 0:
             raise SamplingError("redistribution density has no positive values on the sample")
         self.bound = 1.05 * peak
@@ -151,12 +180,16 @@ class MuSampler:
 
 
 class _Kinetics:
-    """Per-run precomputation for the Euler step (constant-field fast paths)."""
+    """Per-run precomputation for the Euler step and the jump clock."""
 
-    def __init__(self, coeffs: CoefficientSet, dim: int):
-        self.dim = dim
+    def __init__(self, coeffs: CoefficientSet, domain: Domain):
+        self.dim = dim = domain.dim
         self.intensity = coeffs.intensity
         self.v_const = coeffs.intensity.constant_value()
+        if self.v_const is not None:
+            self.v_bound = self.v_const
+        else:
+            self.v_bound = 1.05 * float(np.max(self.intensity.eval(_bound_sample(domain))))
         drift = nondivergence_drift(coeffs)
         self.b_comps = drift.components
         cvals = [c.constant_value() for c in self.b_comps]
@@ -166,20 +199,21 @@ class _Kinetics:
             self.b_const = None
         self.drift_zero = self.b_const is not None and not np.any(self.b_const)
         entries = [coeffs.diffusion.entry(i, j).constant_value()
-                   for i in range(self.dim) for j in range(self.dim)]
+                   for i in range(dim) for j in range(dim)]
         if all(e is not None for e in entries):
-            amat = np.asarray(entries, dtype=float).reshape(self.dim, self.dim)
+            amat = np.asarray(entries, dtype=float).reshape(dim, dim)
             self.root_const = np.linalg.cholesky(amat)
         else:
             self.root_const = None
         self.diffusion = coeffs.diffusion
         self.a00 = coeffs.diffusion.entry(0, 0)
         self.a00_const = self.a00.constant_value()
-
-    def intensity_at(self, x):
-        if self.v_const is not None:
-            return self.v_const
-        return self.intensity.eval(x)
+        # blocks of steps need a and b constant: lambda_max(a) and |b| then bound
+        # the spread and the shift of every block
+        self.blocks = self.root_const is not None and self.b_const is not None
+        if self.blocks:
+            self.a_max = float(np.linalg.eigvalsh(amat)[-1])
+            self.b_norm = float(np.linalg.norm(self.b_const))
 
     def drift_at(self, x):
         if self.b_const is not None:
@@ -199,6 +233,22 @@ class _Kinetics:
         return np.einsum("nij,nj->ni", roots, xi)
 
 
+def _block_steps(r, var, shift):
+    """Per lane, the largest power of 2, m, with (r - m*shift)^2 >= var*m and
+    r >= m*shift; 1 where there is none.
+
+    Both conditions hold exactly for m up to the smaller root of the quadratic,
+    written here in a form free of cancellation.
+    """
+    r = np.maximum(r, 0.0)
+    if shift:
+        root = 2.0 * r * r / (2.0 * r * shift + var + np.sqrt(var * var + 4.0 * var * r * shift))
+    else:
+        root = r * r / var
+    exponent = np.frexp(root)[1]  # root = mantissa * 2**exponent, mantissa in [0.5, 1)
+    return np.left_shift(1, np.minimum(np.maximum(exponent - 1, 0), 62), dtype=np.int64)
+
+
 def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on_jump):
     rng = _chunk_rng(cfg.seed, chunk_index)
     d = domain.dim
@@ -206,8 +256,20 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
         x = sampler.draw(rng, n_lanes)
     else:
         x = np.tile(np.asarray(x0, dtype=float).reshape(1, d), (n_lanes, 1))
-    thresh = rng.exponential(1.0, n_lanes)
-    clock = np.zeros(n_lanes)
+    dt = cfg.dt
+    horizon = cfg.horizon_steps
+    ring_rate = kin.v_bound * dt
+
+    def ring_gaps(n):
+        """Steps from a lane's current step to its next ring, each >= 1."""
+        if not ring_rate > 0:
+            return np.full(n, NEVER, dtype=np.int64)
+        gaps = np.ceil(rng.exponential(1.0, n) / ring_rate)
+        return np.minimum(np.maximum(gaps, 1.0), float(NEVER)).astype(np.int64)
+
+    t = np.zeros(n_lanes, dtype=np.int64)
+    ring = ring_gaps(n_lanes)
+    dist = domain.signed_distance(x)
     jumps = np.zeros(n_lanes, dtype=np.int64)
     lane = np.arange(n_lanes)
 
@@ -219,115 +281,142 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
     bridge = cfg.exit_mode == "bridge-1d"
     if bridge and d != 1:
         raise ValidationError("bridge-corrected exit detection is 1D only")
-    sdt = math.sqrt(cfg.delta * cfg.dt)
-    horizon = cfg.horizon_steps
-    is_interval = d == 1
-    if is_interval:
-        (xl,), (xr,) = domain.lo, domain.hi
-    near_tol = a_max = None
+    sdt = math.sqrt(cfg.delta * dt)
     if bridge:
-        # lanes further than this from both endpoints cannot fire the bridge
+        (xl,), (xr,) = domain.lo, domain.hi
+        # lanes further than near_tol * sqrt(m) from both endpoints cannot fire the bridge
         if kin.a00_const is not None:
             a_max = kin.a00_const
         else:
             probe = np.linspace(xl, xr, 256).reshape(-1, 1)
             a_max = float(np.max(kin.a00.eval(probe)))
-        near_tol = math.sqrt(0.5 * BRIDGE_EXPONENT_CUTOFF * cfg.delta * a_max * cfg.dt)
+        near_tol = math.sqrt(0.5 * BRIDGE_EXPONENT_CUTOFF * cfg.delta * a_max * dt)
+    if kin.blocks:
+        block_var = 2 * d * BRIDGE_EXPONENT_CUTOFF * cfg.delta * kin.a_max * dt
+        block_shift = cfg.delta * kin.b_norm * dt
 
-    def retire(mask, points, time, status):
+    def retire(mask, points, steps, status):
         ids = lane[mask]
         out_points[ids] = points
-        out_times[ids] = time
+        out_times[ids] = steps * dt
         out_jumps[ids] = jumps[mask]
         out_status[ids] = status
 
-    step = 0
-    while len(x) and step < horizon:
-        step += 1
-        clock += kin.intensity_at(x) * cfg.dt
-        jump = clock >= thresh
-        any_jump = bool(jump.any())
+    # np.count_nonzero tests a mask for any True at a fraction of ndarray.any's
+    # call overhead, which the lockstep tail of few lanes pays on every iteration
+    lane_steps = iterations = 0
+    while len(x):
+        iterations += 1
+        lane_steps += len(x)
+        ringing = ring == t + 1  # this lane's next step is a ring of the clock
+        any_ring = np.count_nonzero(ringing) > 0
+        jump = ringing
+        if any_ring and kin.v_const is None:
+            ids = np.flatnonzero(ringing)
+            v = kin.intensity.eval(x[ids])
+            if np.max(v) > kin.v_bound:
+                raise SamplingError(
+                    f"jump intensity {np.max(v):.4g} exceeds the thinning bound "
+                    f"{kin.v_bound:.4g}; the intensity peaks between the sample points")
+            jump = np.zeros(len(x), dtype=bool)
+            jump[ids] = rng.random(len(ids)) * kin.v_bound < v
+        any_jump = any_ring and np.count_nonzero(jump) > 0
+
+        # a block stops short of the ring step and of the horizon; a ringing lane
+        # takes its ring step alone
+        if kin.blocks:
+            m = np.minimum(_block_steps(dist, block_var, block_shift),
+                           np.minimum(ring - t - 1, horizon - t))
+            np.maximum(m, 1, out=m)
+            root_m = np.sqrt(m)
+            m_col, root_col = m[:, None], root_m[:, None]
+        else:
+            m = root_m = m_col = root_col = 1
 
         xi = rng.standard_normal((len(x), d))
-        xn = x + sdt * kin.noise(x, xi)
+        xn = x + sdt * root_col * kin.noise(x, xi)
         if not kin.drift_zero:
-            xn += cfg.delta * kin.drift_at(x) * cfg.dt
+            xn += cfg.delta * kin.drift_at(x) * dt * m_col
+        t_new = t + m
 
-        if is_interval:
-            xn0 = xn[:, 0]
-            outside = (xn0 <= xl) | (xn0 >= xr)
-        else:
-            outside = ~domain.contains(xn)
+        dist_new = domain.signed_distance(xn)
+        outside = ~(dist_new > 0)
         if any_jump:
             outside &= ~jump
             if stop_on_jump:
-                retire(jump, x[jump], step * cfg.dt, STATUS_JUMPED)
+                retire(jump, x[jump], t_new[jump], STATUS_JUMPED)
 
         crossed = None
         cross_point = None
         if bridge:
-            x0col = x[:, 0]
-            near = ((x0col - xl < near_tol) | (xr - x0col < near_tol)
-                    | (xn0 - xl < near_tol) | (xr - xn0 < near_tol)) & ~outside
+            x0col, xn0 = x[:, 0], xn[:, 0]
+            tol = near_tol * root_m
+            near = ((x0col - xl < tol) | (xr - x0col < tol)
+                    | (xn0 - xl < tol) | (xr - xn0 < tol)) & ~outside
             if any_jump:
                 near &= ~jump
-            if near.any():
+            if np.count_nonzero(near):
                 nidx = np.flatnonzero(near)
                 xo = x0col[nidx]
                 xm = xn0[nidx]
                 a_here = kin.a00_const if kin.a00_const is not None \
                     else kin.a00.eval(x[nidx])
-                s2 = cfg.delta * a_here * cfg.dt
+                s2 = cfg.delta * a_here * dt * (m[nidx] if kin.blocks else 1)
                 expo_l = 2.0 * (xo - xl) * (xm - xl) / s2
                 expo_r = 2.0 * (xr - xo) * (xr - xm) / s2
                 hit = np.zeros(len(nidx), dtype=bool)
                 hit_left = np.zeros(len(nidx), dtype=bool)
                 need_l = expo_l < BRIDGE_EXPONENT_CUTOFF
-                if need_l.any():
+                if np.count_nonzero(need_l):
                     u = rng.random(int(need_l.sum()))
                     fired = u < np.exp(-expo_l[need_l])
                     hit[need_l] |= fired
                     hit_left[need_l] |= fired
                 need_r = (expo_r < BRIDGE_EXPONENT_CUTOFF) & ~hit
-                if need_r.any():
+                if np.count_nonzero(need_r):
                     u = rng.random(int(need_r.sum()))
                     hit[need_r] |= u < np.exp(-expo_r[need_r])
-                if hit.any():
+                if np.count_nonzero(hit):
                     crossed = np.zeros(len(x), dtype=bool)
                     crossed[nidx[hit]] = True
                     cross_point = np.where(hit_left[hit], xl, xr).reshape(-1, 1)
 
-        any_out = bool(outside.any())
+        any_out = np.count_nonzero(outside) > 0
         if any_out:
             retire(outside, domain.project_to_boundary(xn[outside]),
-                   step * cfg.dt, STATUS_EXIT)
+                   t_new[outside], STATUS_EXIT)
         if crossed is not None:
-            retire(crossed, cross_point, step * cfg.dt, STATUS_EXIT)
+            retire(crossed, cross_point, t_new[crossed], STATUS_EXIT)
 
         if any_jump and not stop_on_jump:
             n_j = int(jump.sum())
             xn[jump] = sampler.draw(rng, n_j)
-            clock[jump] = 0.0
-            thresh[jump] = rng.exponential(1.0, n_j)
+            dist_new[jump] = domain.signed_distance(xn[jump])
             jumps[jump] += 1
+        if any_ring:
+            ring[ringing] = t_new[ringing] + ring_gaps(int(ringing.sum()))
 
-        x = xn
+        x, t, dist = xn, t_new, dist_new
         drop = outside
         if crossed is not None:
             drop = drop | crossed
         if stop_on_jump and any_jump:
             drop = drop | jump
-        if any_out or crossed is not None or (stop_on_jump and any_jump):
+        done = t == horizon
+        if np.count_nonzero(done):  # censored at the horizon
+            done &= ~drop
+            retire(done, x[done], t[done], STATUS_CENSORED)
+            drop = drop | done
+        if np.count_nonzero(drop):
             keep = ~drop
             x = x[keep]
-            clock = clock[keep]
-            thresh = thresh[keep]
+            t = t[keep]
+            dist = dist[keep]
+            ring = ring[keep]
             jumps = jumps[keep]
             lane = lane[keep]
 
-    if len(x):  # censored at the horizon
-        retire(np.ones(len(x), dtype=bool), x, horizon * cfg.dt, STATUS_CENSORED)
-    return out_points, out_times, out_jumps, out_status
+    return out_points, out_times, out_jumps, out_status, lane_steps, iterations
 
 
 def _chunk_task(args):
@@ -342,7 +431,7 @@ def simulate_ensemble(coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
     for any worker count and execution order.
     """
     sampler = MuSampler(coeffs, domain)
-    kin = _Kinetics(coeffs, domain.dim)
+    kin = _Kinetics(coeffs, domain)
     n = cfg.n_paths
     cs = cfg.chunk_size
     n_chunks = (n + cs - 1) // cs
@@ -358,14 +447,17 @@ def simulate_ensemble(coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
     else:
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             results = list(pool.map(_chunk_task, tasks))
-    for c, (p, t, j, s) in results:
+    lane_steps = iterations = 0
+    for c, (p, t, j, s, ls, it) in results:
         lo = c * cs
         hi = min(n, lo + cs)
         points[lo:hi] = p
         times[lo:hi] = t
         jumps[lo:hi] = j
         status[lo:hi] = s
-    return PathEnsemble(points, times, jumps, status)
+        lane_steps += ls
+        iterations += it
+    return PathEnsemble(points, times, jumps, status, lane_steps, iterations)
 
 
 @dataclass(frozen=True)

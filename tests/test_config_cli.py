@@ -141,6 +141,17 @@ def test_build_problem_requires_sections():
                        "coefficients": {"intensity": 1.0, "redistribution": 1.0}})
 
 
+@pytest.mark.parametrize("k", [1.5, "2", True, math.nan])
+def test_vanishing_order_must_be_integer_valued(k):
+    doc = {"domain": {"kind": "interval", "a": 0, "b": 1},
+           "coefficients": {"k": k, "intensity": 1.0, "redistribution": 1.0}}
+    with pytest.raises(ConfigError, match="vanishing order"):
+        build_problem(doc)
+    # an integer-valued float is the integer
+    doc["coefficients"]["k"] = 2.0
+    assert build_problem(doc).coeffs.vanishing_order == 2
+
+
 def _write_config(tmp_path):
     p = tmp_path / "prob.json"
     p.write_text(json.dumps(ASYM_CONFIG))
@@ -313,9 +324,10 @@ EIGEN = ["eigen", "--preset", "interval-k0-uniform"]
     (["sweep"], {"experiment": {"kind": "decay", "deltas": ["a"]}}),
     (["sweep"], {"experiment": {"kind": "decay", "deltas": 0.1}}),
     (["theory"], {"k": -1}),
+    (["theory"], {"k": 1.5}),
 ], ids=["delta-text", "delta-empty", "delta-zero", "delta-negative", "delta-nan", "m-text",
         "mc-dt-text", "mc-chunk-size-text", "mc-not-object", "deltas-text", "deltas-scalar",
-        "k-negative"])
+        "k-negative", "k-fraction"])
 def test_cli_bad_numbers_are_error_lines(argv, sections, tmp_path, capsys):
     if sections is not None:
         p = tmp_path / "bad.json"
@@ -323,6 +335,14 @@ def test_cli_bad_numbers_are_error_lines(argv, sections, tmp_path, capsys):
         argv = argv + ["--config", str(p)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_coarse_grid_error_names_cli_remedies(tmp_path, capsys):
+    argv = ["solve", "--preset", "interval-k0-uniform", "--delta", "1e-3", "--grid-n", "21"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "allow_coarse" not in err and "--grid-n" in err
 
 
 SQUARE_CONFIG = {

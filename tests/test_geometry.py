@@ -110,6 +110,37 @@ def test_projection_lands_on_boundary(dom):
     assert np.max(np.abs(dom.signed_distance(proj))) <= 1e-12 * dom.diameter
 
 
+def _box_projection_by_face_search(dom, pts):
+    """Clip, then move every row onto its nearest face: the face search on all rows."""
+    lo, hi = dom.bounding_box
+    out = np.clip(pts, lo, hi)
+    gaps = np.stack([out - lo, hi - out], axis=2).reshape(len(out), -1)
+    face = np.argmin(np.abs(gaps), axis=1)
+    axis, upper = face // 2, face % 2 == 1
+    out[np.arange(len(out)), axis] = np.where(upper, hi[axis], lo[axis])
+    return out
+
+
+@pytest.mark.parametrize("dom", [Domain.interval(0.0, 1.0), Domain.interval(-1.0, -0.0),
+                                 Domain.interval(-2.0, 3.5),
+                                 Domain.rectangle(0.0, 0.0, 1.0, 1.0),
+                                 Domain.rectangle(-1.0, -0.0, 0.0, 1.25)], ids=repr)
+def test_box_projection_is_bitwise_the_face_search(dom):
+    # rows outside, inside, on faces, at corners, at the centre (a tie between
+    # faces), at signed zeros and at infinities, alone and in one batch
+    lo, hi = dom.bounding_box
+    values = np.concatenate([lo, hi, (lo + hi) / 2, lo - 1, hi + 1, lo + 0.25 * (hi - lo),
+                             [0.0, -0.0, np.inf, -np.inf]])
+    grid = np.stack(np.meshgrid(*[values] * dom.dim, indexing="ij"), axis=-1)
+    rng = np.random.default_rng(2)
+    pts = np.concatenate([grid.reshape(-1, dom.dim),
+                          lo - 0.5 + rng.random((500, dom.dim)) * (hi - lo + 1.0)])
+    expected = _box_projection_by_face_search(dom, pts.copy())
+    assert dom.project_to_boundary(pts).tobytes() == expected.tobytes()
+    for p, e in zip(pts, expected):
+        assert dom.project_to_boundary(p[None]).tobytes() == e.tobytes()
+
+
 @pytest.mark.parametrize("dom", ALL_DOMAINS, ids=repr)
 def test_signed_distance_matches_projection_distance(dom):
     rng = np.random.default_rng(1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ def test_sampler_rejects_density_above_its_bound():
     assert sampler.bound == pytest.approx(0.525, rel=1e-3)
     with pytest.raises(mc.SamplingError, match="exceeds the rejection bound"):
         sampler.draw(rng(4), 10**5)
+
+
+def test_thinning_rejects_intensity_above_its_bound():
+    # V = 1 plus a spike of height 100 and width 1e-5 that the 2048-point sample
+    # misses: the clock's bound is 1.05, and lanes held in the spike by a tiny
+    # delta see V ~ 101 at their first ring
+    from jumplab import CallableField, CoefficientSet, MatrixField, VectorField, const
+    dom = Domain.interval(0.0, 1.0)
+    s = 1e-5
+    V = CallableField(lambda x: 1.0 + 100.0 * np.exp(-((x - 0.5) ** 2) / (2 * s * s)),
+                      dom, max_order=0)
+    c = CoefficientSet(diffusion=MatrixField.identity(1), drift=VectorField.zero(1),
+                       intensity=V, redistribution=const(1, 1.0),
+                       boundary_data=const(1, 0.0), vanishing_order=0)
+    cfg = mc.SimConfig(delta=1e-12, dt=1e-3, n_paths=100, seed=4, horizon=50.0)
+    with pytest.raises(mc.SamplingError, match="exceeds the thinning bound"):
+        mc.simulate_ensemble(c, dom, cfg, x0=np.array([0.5]))
 
 
 # -- Euler step ---------------------------------------------------------------
@@ -195,6 +213,62 @@ def test_censoring_counted_and_excluded():
     assert est.bin_probs.sum() == pytest.approx(1.0, abs=1e-12)
     # survival curve includes censored paths
     assert est.survival_probs[-1] >= est.n_censored / cfg.n_paths - 1e-12
+
+
+def nominal_steps(ens, cfg):
+    return int(np.rint(ens.exit_times / cfg.dt).astype(np.int64).sum())
+
+
+def test_blocks_cut_lane_steps_on_constant_coefficients():
+    spec = preset("interval-k0-uniform")
+    cfg = mc.SimConfig(delta=0.05, dt=1e-4, n_paths=1000, seed=23, exit_mode="bridge-1d",
+                       horizon=100.0)
+    ens = mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=np.array([0.3]))
+    assert 0 < ens.lane_steps <= nominal_steps(ens, cfg) / 5
+
+
+def test_variable_diffusion_takes_single_steps():
+    from jumplab import CoefficientSet, MatrixField, PolyField, VectorField, const
+    dom = Domain.interval(0.0, 1.0)
+    a = PolyField.from_dict(1, {(0,): 1.0, (1,): 1.0})  # 1 + x
+    c = CoefficientSet(diffusion=MatrixField.isotropic(1, a), drift=VectorField.zero(1),
+                       intensity=const(1, 1.0), redistribution=const(1, 1.0),
+                       boundary_data=const(1, 0.0), vanishing_order=0)
+    cfg = mc.SimConfig(delta=0.1, dt=1e-3, n_paths=300, seed=24, exit_mode="bridge-1d",
+                       horizon=50.0)
+    ens = mc.simulate_ensemble(c, dom, cfg, x0=np.array([0.5]))
+    assert ens.lane_steps == nominal_steps(ens, cfg)
+    assert ens.iterations == int(np.rint(ens.exit_times.max() / cfg.dt))  # one chunk
+
+
+def test_blocks_keep_the_law_of_single_steps(monkeypatch):
+    # the same engine with every block cut to one step is the reference: exit
+    # times, jump counts and exit sides must agree in law (V and mu vary here)
+    spec = preset("interval-k0-asym")
+    cfg = mc.SimConfig(delta=0.2, dt=1e-3, n_paths=10000, seed=26, exit_mode="bridge-1d",
+                       horizon=100.0)
+    blocks = mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=np.array([0.5]))
+    monkeypatch.setattr(mc, "_block_steps", lambda r, var, shift: np.ones(len(r), np.int64))
+    steps = mc.simulate_ensemble(spec.coeffs, spec.domain, replace(cfg, seed=27),
+                                 x0=np.array([0.5]))
+    assert blocks.lane_steps < steps.lane_steps / 2
+    assert steps.lane_steps == nominal_steps(steps, cfg)
+    assert scipy.stats.ks_2samp(blocks.exit_times, steps.exit_times).pvalue > 1e-3
+    assert scipy.stats.ks_2samp(blocks.jump_counts, steps.jump_counts).pvalue > 1e-3
+    sides = [np.bincount(e.exit_points[:, 0] > 0.5, minlength=2) for e in (blocks, steps)]
+    assert scipy.stats.chi2_contingency(sides).pvalue > 1e-3
+
+
+def test_exit_before_jump_matches_closed_form():
+    # interval-k0-uniform: u'' = r^2 u with u = 1 at 0 and 1, r = sqrt(2V/(delta a)),
+    # averaged over the uniform mu, is (2/r) tanh(r/2)
+    spec = preset("interval-k0-uniform")
+    delta = 0.05
+    r = math.sqrt(2.0 / delta)
+    cfg = mc.SimConfig(delta=delta, dt=1e-4, n_paths=10**5, seed=25,
+                       exit_mode="bridge-1d", horizon=None)
+    p, se = mc.exit_before_jump_probability(spec.coeffs, spec.domain, cfg)
+    assert abs(p - 2.0 / r * math.tanh(r / 2.0)) <= 3 * se
 
 
 # -- reproducibility ----------------------------------------------------------
