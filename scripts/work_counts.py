@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Hardware-free work counts of one round of a benchmark workload.
+
+    python3 scripts/work_counts.py --workload fdm-2d --seed 1
+
+Builds the workload of benchmark/workloads.py from the seed, runs its round of
+operations once and prints one JSON object with the round's sums.
+
+Monte Carlo, over the ensembles: paths, ``nominal_steps`` (exit time / dt
+summed over paths, the fixed-step equivalent that the benchmark's spans
+report), ``lockstep_span`` (per chunk, the nominal steps of its longest path),
+and the engine's own ``lane_steps`` (blocks simulated) and ``iterations``
+(lockstep iterations).
+
+Finite differences: ``factorizations`` (sparse LUs, every one of them, the
+local factor of ``solve_no_jump_prob`` included), ``lu_nnz`` (their L+U
+nonzeros summed), ``solves`` (triangular solve pairs with those factors) and
+``eigen_iterations`` (inverse power iterations).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
+
+from jumplab import fdm, mc  # noqa: E402
+import workloads  # noqa: E402
+
+COUNTS = ["paths", "nominal_steps", "lockstep_span", "lane_steps", "iterations",
+          "factorizations", "lu_nnz", "solves", "eigen_iterations"]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args(argv)
+
+    counts = dict.fromkeys(COUNTS, 0)
+    simulate, factor, eigen = mc.simulate_ensemble, fdm._factor, fdm.principal_eigenvalue
+
+    def counted_ensemble(coeffs, domain, cfg, *rest, **kwargs):
+        ens = simulate(coeffs, domain, cfg, *rest, **kwargs)
+        steps = np.rint(ens.exit_times / cfg.dt).astype(np.int64)
+        counts["paths"] += ens.n_paths
+        counts["nominal_steps"] += int(steps.sum())
+        counts["lockstep_span"] += sum(int(steps[c:c + cfg.chunk_size].max())
+                                       for c in range(0, len(steps), cfg.chunk_size))
+        counts["lane_steps"] += ens.lane_steps
+        counts["iterations"] += ens.iterations
+        return ens
+
+    class CountedLU:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+            counts["factorizations"] += 1
+            counts["lu_nnz"] += lu.nnz
+
+        def solve(self, rhs):
+            counts["solves"] += 1
+            return self.lu.solve(rhs)
+
+    def counted_eigen(*args, **kwargs):
+        res = eigen(*args, **kwargs)
+        counts["eigen_iterations"] += res.iterations
+        return res
+
+    mc.simulate_ensemble = counted_ensemble
+    fdm._factor = lambda A: CountedLU(factor(A))
+    fdm.principal_eigenvalue = counted_eigen
+    try:
+        for op in workloads.WORKLOADS[args.workload](args.seed).ops():
+            op.call()
+    finally:
+        mc.simulate_ensemble, fdm._factor, fdm.principal_eigenvalue = simulate, factor, eigen
+    print(json.dumps({"workload": args.workload, "seed": args.seed, **counts}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse.linalg
 
-from jumplab import (CoefficientSet, Domain, MatrixField, PolyField, ValidationError,
-                     VectorField, const, apply_generator, preset)
+from jumplab import (CoefficientSet, Domain, MatrixField, PolyField, SolverError,
+                     ValidationError, VectorField, const, apply_generator, preset)
 from jumplab import fdm
 
 
@@ -162,19 +163,57 @@ def test_rank_one_bordered_fallback():
     assert np.allclose(x, dense, rtol=1e-3)
 
 
+def test_singular_factor_is_a_solver_error():
+    import scipy.sparse as sp
+    with pytest.raises(SolverError, match="singular"):
+        fdm.RankOneSolver(sp.csc_matrix((2, 2)), np.ones(2), np.ones(2))
+
+
+@pytest.mark.parametrize("name,n,n_angular", [
+    ("square-k0-uniform", 101, None), ("disk-k0-radial", 101, 64), ("annulus-flux", 101, 64)])
+def test_lu_ordering_cuts_fill(name, n, n_angular):
+    spec = preset(name)
+    grid = fdm.build_grid(spec.domain, n, n_angular)
+    op = fdm.assemble_operator(1e-2, spec.coeffs, grid, allow_coarse=True)
+    solver = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior)
+    colamd = scipy.sparse.linalg.splu(op.A_loc, permc_spec="COLAMD")
+    assert solver.local.lu.nnz <= 0.75 * colamd.nnz
+    rhs = -(op.B_bc @ spec.coeffs.boundary_data.eval(grid.points[grid.boundary]))
+    x = solver.local.solve(rhs)
+    x_colamd = colamd.solve(rhs)
+    assert np.max(np.abs(x - x_colamd)) <= 1e-12 * np.max(np.abs(x_colamd))
+
+
+def _dense_principal_eigenvalue(op):
+    M = op.A_loc.toarray() + np.outer(op.v, op.w_interior)
+    eigs = np.linalg.eigvals(-M)
+    return np.min(eigs[np.abs(eigs.imag) < 1e-10].real)
+
+
 def test_principal_eigenvalue_against_dense_spectrum():
     spec = preset("interval-k0-uniform")
     grid = fdm.build_grid(spec.domain, 101)
     delta = 5e-3
     res = fdm.principal_eigenvalue(delta, spec.coeffs, grid)
-    op = fdm.assemble_operator(delta, spec.coeffs, grid)
-    M = op.A_loc.toarray() + np.outer(op.v, op.w_interior)
-    eigs = np.linalg.eigvals(-M)
-    lam_min = np.min(eigs[np.abs(eigs.imag) < 1e-10].real)
+    lam_min = _dense_principal_eigenvalue(fdm.assemble_operator(delta, spec.coeffs, grid))
     assert res.lambda0 == pytest.approx(lam_min, rel=1e-8)
     assert res.residual <= 1e-10
     psi = res.eigenfunction.values[grid.interior]
     assert np.all(psi > 0)
+
+
+@pytest.mark.parametrize("name,n,n_angular", [
+    ("square-k0-uniform", 21, None), ("disk-k0-radial", 16, 16)])
+def test_principal_eigenvalue_against_dense_spectrum_2d(name, n, n_angular):
+    # the disk's angular axis is periodic: its factor includes the wrap-around entries
+    spec = preset(name)
+    grid = fdm.build_grid(spec.domain, n, n_angular)
+    delta = 5e-2
+    res = fdm.principal_eigenvalue(delta, spec.coeffs, grid)
+    lam_min = _dense_principal_eigenvalue(fdm.assemble_operator(delta, spec.coeffs, grid))
+    assert res.lambda0 == pytest.approx(lam_min, rel=1e-8)
+    assert res.residual <= 1e-10
+    assert np.all(res.eigenfunction.values[grid.interior] > 0)
 
 
 def test_principal_eigenvalue_monotone_in_intensity():
