@@ -26,6 +26,7 @@ from . import fdm, mc, theory
 from .errors import ValidationError
 from .fitting import PowerLawFit, fit_power_law, fit_slope
 from .presets import ProblemSpec
+from .reductions import dot
 from .geometry import Domain, Ring
 from .tables import write_csv
 
@@ -411,7 +412,7 @@ def discrete_no_jump_mass(spec: ProblemSpec, delta, grid_factor=0.03):
     grid = _grid_for(spec, delta, grid_factor)
     u = fdm.solve_no_jump_prob(delta, spec.coeffs, grid)
     w = fdm.mu_quadrature_weights(spec.coeffs, grid)
-    return float(w @ u.values)
+    return dot(w, u.values)
 
 
 def no_jump_mass_limit(spec: ProblemSpec):

@@ -14,10 +14,10 @@ eigenvalue iteration reuse one sparse LU factorization of the local part
 through a rank-one update identity.  Every factorization orders its columns
 by minimum degree on the pattern of A + A^T (SuperLU's MMD_AT_PLUS_A), which
 fills the 5-/9-point grid matrices far less than the default COLAMD order.
-Vector reductions are elementwise products summed by ``np.add.reduce``, so
-they never wake the BLAS thread pool.  Assembly enforces h <= 0.5 *
-sqrt(delta a_min / V_max), which resolves the boundary layer of width
-~ sqrt(delta a / V), along every axis with Dirichlet ends unless overridden.
+Vector dots and norms go through ``reductions.dot``.  Assembly enforces
+h <= 0.5 * sqrt(delta a_min / V_max), which resolves the boundary layer of
+width ~ sqrt(delta a / V), along every axis with Dirichlet ends unless
+overridden.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ import scipy.sparse.linalg as spla
 from .errors import SolverError, ValidationError
 from .fields import CoefficientSet
 from .geometry import Box, Domain
+from .reductions import dot
 from .tables import write_csv
 
 # Excised-core radius of polar disk grids, relative to the disk radius.  The
@@ -308,11 +309,6 @@ def assemble_operator(delta, coeffs: CoefficientSet, grid: Grid,
     return DiscreteOperator(grid, float(delta), A_loc, B_bc, v, w)
 
 
-def _dot(x, y):
-    """x . y without a BLAS call: a BLAS dot may wake idle OpenBLAS threads."""
-    return float(np.add.reduce(x * y))
-
-
 def _factor(A):
     """Sparse LU of ``A``, columns in minimum-degree order on the pattern of A + A^T."""
     try:
@@ -346,7 +342,7 @@ class RankOneSolver:
         self.v = np.asarray(v, dtype=float)
         self.w = np.asarray(w, dtype=float)
         self.z = self.local.solve(self.v)
-        self.denom = 1.0 + _dot(self.w, self.z)
+        self.denom = 1.0 + dot(self.w, self.z)
         self.bordered = None
         if abs(self.denom) < self.DENOM_TOL:
             B = sp.bmat([[A, sp.csc_matrix(self.v.reshape(-1, 1))],
@@ -359,7 +355,7 @@ class RankOneSolver:
             sol = self.bordered.solve(np.concatenate([rhs, [0.0]]))
             return sol[:-1]
         y = self.local.solve(rhs)
-        return y - self.z * (_dot(self.w, y) / self.denom)
+        return y - self.z * (dot(self.w, y) / self.denom)
 
 
 @dataclass
@@ -414,7 +410,7 @@ def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None,
     op = assemble_operator(delta, coeffs, grid, allow_coarse=allow_coarse)
     f = coeffs.boundary_data if f is None else f
     fb = f.eval(grid.points[grid.boundary])
-    rhs = -(op.B_bc @ fb) - op.v * _dot(op.w_boundary, fb)
+    rhs = -(op.B_bc @ fb) - op.v * dot(op.w_boundary, fb)
     return _on_grid(grid, RankOneSolver(op.A_loc, op.v, op.w_interior).solve(rhs), fb)
 
 
@@ -439,7 +435,7 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid) -> EigenResu
     """
     op = assemble_operator(delta, coeffs, grid)
     solver = RankOneSolver(op.A_loc, op.v, op.w_interior)
-    apply_negM = lambda psi: -(op.A_loc @ psi + op.v * _dot(op.w_interior, psi))
+    apply_negM = lambda psi: -(op.A_loc @ psi + op.v * dot(op.w_interior, psi))
 
     psi = np.full(len(grid.interior), 1.0 / math.sqrt(len(grid.interior)))
     # Rayleigh quotients of a tiny eigenvalue carry cancellation noise of
@@ -450,16 +446,16 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid) -> EigenResu
     res = math.inf
     for it in range(1, 10_001):
         y = solver.solve(-psi)          # (-M) y = psi
-        norm = math.sqrt(_dot(y, y))
+        norm = math.sqrt(dot(y, y))
         if not np.isfinite(norm) or norm == 0.0:
             raise SolverError("inverse iteration produced a degenerate vector")
         psi = y / norm
         if psi.sum() < 0:
             psi = -psi
         negM_psi = apply_negM(psi)
-        lam = _dot(psi, negM_psi)
+        lam = dot(psi, negM_psi)
         r = negM_psi - lam * psi
-        res = math.sqrt(_dot(r, r))
+        res = math.sqrt(dot(r, r))
         if (lam_prev is not None and res <= 1e-10
                 and abs(lam - lam_prev) <= 1e-12 * abs(lam) + noise_floor):
             break

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .reductions import dot
 
 MIN_POINTS = 3      # scales a fit takes: the smallest ones of a sweep
 
@@ -38,14 +39,6 @@ class PowerLawFit:
     def limit_contains(self, target):
         """Whether ``target`` lies within the band around the limit exponent."""
         return bool(abs(self.exponent_limit - target) <= self.exponent_limit_band)
-
-
-def _ols_loglog(x, y):
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return slope, intercept, r2
 
 
 def fit_power_law(deltas, values) -> PowerLawFit:
@@ -68,11 +61,11 @@ def fit_power_law(deltas, values) -> PowerLawFit:
     d = deltas[order][:MIN_POINTS]
     x = np.log(d)
     y = np.log(values[order][:MIN_POINTS])
-    slope, intercept, r2 = _ols_loglog(x, y)
+    slope, intercept, r2 = fit_slope(x, y)
     seg = np.diff(y) / np.diff(x)
     # each segment exponent sits at the geometric mean of its two scales
     limit, band = sqrt_delta_limit(np.sqrt(d[:-1] * d[1:]), seg)
-    return PowerLawFit(exponent=float(slope), prefactor=float(np.exp(intercept)),
+    return PowerLawFit(exponent=slope, prefactor=float(np.exp(intercept)),
                        r_squared=r2, deltas=d, segment_exponents=seg,
                        exponent_limit=limit, exponent_limit_band=band)
 
@@ -99,8 +92,20 @@ def sqrt_delta_limit(deltas, values):
 
 
 def fit_slope(x, y):
-    """Plain OLS slope with R^2, for linear diagnostics (decay fits)."""
+    """Least-squares line y ~ slope * x + intercept; returns (slope, intercept, r^2).
+
+    The closed form on centred data, summed by ``reductions.dot``: the same
+    line as ``np.polyfit(x, y, 1)`` without its LAPACK call.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    slope, intercept, r2 = _ols_loglog(x, y)  # same algebra, no logs
-    return float(slope), float(intercept), r2
+    if not np.ptp(x) > 0:
+        raise ValidationError(f"line fit needs two distinct x values, got {x.tolist()}")
+    xm, ym = float(np.mean(x)), float(np.mean(y))
+    xc, yc = x - xm, y - ym
+    slope = dot(xc, yc) / dot(xc, xc)
+    intercept = ym - slope * xm
+    resid = y - (slope * x + intercept)
+    ss_tot = dot(yc, yc)
+    r2 = 1.0 - dot(resid, resid) / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, r2

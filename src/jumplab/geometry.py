@@ -51,14 +51,24 @@ def as_points(x, dim):
     raise ValueError(f"cannot interpret shape {pts.shape} as points in {dim}D")
 
 
-def _trapezoid(lo, hi, resolution):
-    m = int(resolution)
-    if m < 2:
-        raise ValueError("resolution must be >= 2 per axis")
+# Gregory end weights, in units of the spacing: the trapezoid rule with these
+# at its three end nodes is exact for cubics.  The change is local to the
+# ends, so a kink inside the interval costs it no more than the plain rule.
+_GREGORY_ENDS = np.array([3 / 8, 7 / 6, 23 / 24])
+
+
+def _trapezoid(lo, hi, resolution, end_corrected=False):
+    m, least = int(resolution), (6 if end_corrected else 2)
+    if m < least:
+        raise ValueError(f"resolution must be >= {least} per axis")
     x = np.linspace(lo, hi, m)
-    w = np.full(m, (hi - lo) / (m - 1))
+    h = (hi - lo) / (m - 1)
+    w = np.full(m, h)
     w[0] *= 0.5
     w[-1] *= 0.5
+    if end_corrected:
+        w[:3] = h * _GREGORY_ENDS
+        w[-3:] = h * _GREGORY_ENDS[::-1]
     return x, w
 
 
@@ -304,9 +314,14 @@ class Box(Domain):
         return BoundaryQuadrature(np.concatenate(nodes), np.concatenate(weights),
                                   np.concatenate(normals), np.concatenate(comp))
 
-    def interior_quadrature(self, resolution=1000):
-        """Trapezoid rule on the tensor grid with ``resolution`` nodes per axis."""
-        rules = [_trapezoid(lo, hi, resolution) for lo, hi in zip(self.lo, self.hi)]
+    def interior_quadrature(self, resolution=1000, end_corrected=False):
+        """Trapezoid rule on the tensor grid with ``resolution`` nodes per axis.
+
+        ``end_corrected`` adds Gregory end weights on every axis, which makes
+        the rule exact for cubics in each coordinate.
+        """
+        rules = [_trapezoid(lo, hi, resolution, end_corrected)
+                 for lo, hi in zip(self.lo, self.hi)]
         mesh = np.meshgrid(*(x for x, _ in rules), indexing="ij", copy=False)
         weights = functools.reduce(np.multiply.outer, (w for _, w in rules))
         return InteriorQuadrature(np.stack(mesh, axis=-1).reshape(-1, self.dim), weights.ravel())
@@ -404,9 +419,15 @@ class Ring(Domain):
             np.concatenate([s * unit for _, s in circles]),
             np.repeat(np.arange(len(circles)), m))
 
-    def interior_quadrature(self, resolution=1000):
-        """Trapezoid rule on the polar grid with ``resolution`` nodes per axis."""
-        r, wr = _trapezoid(self.r_inner, self.r_outer, resolution)
+    def interior_quadrature(self, resolution=1000, end_corrected=False):
+        """Trapezoid rule on the polar grid with ``resolution`` nodes per axis.
+
+        ``end_corrected`` adds Gregory end weights in r, which makes the rule
+        exact for integrands r * p(r) with p a quadratic; the periodic rule in
+        theta is exact for trigonometric polynomials of degree below
+        ``resolution`` already.
+        """
+        r, wr = _trapezoid(self.r_inner, self.r_outer, resolution, end_corrected)
         n = len(r)
         th = 2 * math.pi * np.arange(n) / n
         R, TH = np.meshgrid(r, th, indexing="ij")

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import SamplingError, SolverError, ValidationError
 from .fields import CoefficientSet, nondivergence_drift
+from .fitting import fit_slope
 from .geometry import Domain
 from .tables import write_csv
 
@@ -537,12 +538,8 @@ def fit_survival_rate(times, probs, window=(0.01, 0.2)) -> SurvivalRateEstimate:
             f"only {int(mask.sum())} survival points inside P in [{window[0]}, {window[1]}]; need >= 4")
     t = times[mask]
     y = np.log(probs[mask])
-    slope, intercept = np.polyfit(t, y, 1)
-    fit = slope * t + intercept
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return SurvivalRateEstimate(rate=float(-slope), r_squared=r2,
+    slope, _, r2 = fit_slope(t, y)
+    return SurvivalRateEstimate(rate=-slope, r_squared=r2,
                                 n_window=int(mask.sum()), window=tuple(window),
                                 times=t, probs=probs[mask])
 

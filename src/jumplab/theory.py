@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .fields import CoefficientSet, apply_adjoint_power, multi_indices
 from .geometry import BoundaryQuadrature, InteriorQuadrature
+from .reductions import dot
 
 # Density values more negative than this (relative to the max) indicate a
 # k/mu mismatch rather than roundoff.
@@ -82,7 +83,7 @@ def limit_exit_density(coeffs: CoefficientSet, quad: BoundaryQuadrature) -> Boun
         raise ValidationError(
             "limiting exit density has negative values; declared vanishing order "
             "is likely inconsistent with the redistribution density")
-    z = float(quad.weights @ vals)
+    z = dot(quad.weights, vals)
     if not z > 0.0:
         raise ValidationError("limiting exit density has zero mass")
     return BoundaryDensity(quad, vals, z)
@@ -98,7 +99,7 @@ def limit_exit_functional(coeffs: CoefficientSet, quad: BoundaryQuadrature,
         density = limit_exit_density(coeffs, quad)
     f = coeffs.boundary_data if f is None else f
     fvals = f.eval(quad.nodes)
-    return float((quad.weights * density.values) @ fvals / density.normalization)
+    return dot(quad.weights * density.values, fvals) / density.normalization
 
 
 def parity_divisor(k):
@@ -121,7 +122,7 @@ def decay_rate_prefactor(coeffs: CoefficientSet, quad: BoundaryQuadrature,
     if np.any(vvals <= 0.0):
         raise ValidationError("intensity must be positive for the decay-rate prefactor")
     muvals = coeffs.redistribution(iquad.nodes)
-    denom = float(iquad.weights @ (muvals / vvals))
+    denom = dot(iquad.weights, muvals / vvals)
     if denom <= 0.0:
         raise ValidationError(f"interior integral of mu/V is {denom:.3e}, expected > 0")
     return density.normalization / (parity_divisor(coeffs.vanishing_order) * denom)

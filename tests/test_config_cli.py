@@ -320,6 +320,8 @@ EIGEN = ["eigen", "--preset", "interval-k0-uniform"]
     (["probe", "--m", "a"], None),
     (["sweep", "--preset", "interval-k0-uniform", "--experiment", "eigenvalue",
       "--delta", "1e-3,1e-3,1e-4"], None),
+    (["sweep", "--preset", "interval-k0-uniform", "--experiment", "decay",
+      "--delta", "1e-3"], None),
     (["mc", "--delta", "0.2"], {"mc": {"dt": "x"}}),
     (["mc", "--delta", "0.2"], {"mc": {"chunk_size": "big"}}),
     (["mc", "--delta", "0.2"], {"mc": [1]}),
@@ -328,8 +330,8 @@ EIGEN = ["eigen", "--preset", "interval-k0-uniform"]
     (["theory"], {"k": -1}),
     (["theory"], {"k": 1.5}),
 ], ids=["delta-text", "delta-empty", "delta-zero", "delta-negative", "delta-nan", "m-text",
-        "delta-repeated", "mc-dt-text", "mc-chunk-size-text", "mc-not-object", "deltas-text",
-        "deltas-scalar", "k-negative", "k-fraction"])
+        "delta-repeated", "decay-one-delta", "mc-dt-text", "mc-chunk-size-text",
+        "mc-not-object", "deltas-text", "deltas-scalar", "k-negative", "k-fraction"])
 def test_cli_bad_numbers_are_error_lines(argv, sections, tmp_path, capsys):
     if sections is not None:
         p = tmp_path / "bad.json"

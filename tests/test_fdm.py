@@ -1,4 +1,6 @@
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ import scipy.sparse.linalg
 
 from jumplab import (CoefficientSet, Domain, MatrixField, PolyField, SolverError,
                      ValidationError, VectorField, const, apply_generator, preset)
-from jumplab import fdm
+from jumplab import experiments, fdm
 
 
 def coeffs_1d(a=None, b=None, V=None, mu=None, k=0):
@@ -366,3 +368,26 @@ def test_suggest_resolution_rejects_bad_delta(delta):
     spec = preset("interval-k0-uniform")
     with pytest.raises(ValidationError):
         fdm.suggest_resolution(spec.domain, delta, spec.coeffs)
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((CPUS or 1) < 2, reason="needs 2 CPUs to see a spinning thread")
+def test_eigen_sweep_keeps_to_one_core():
+    # A sweep is serial.  A dense reduction through BLAS would wake the
+    # OpenBLAS pool, whose threads then spin: on the second core (process CPU
+    # time near twice the wall time) or on the sweep's own core (CPU time of
+    # threads other than this one near half the wall time).  Host noise only
+    # adds wall time.
+    spec = preset("interval-k0-uniform")
+    run = lambda: experiments.run_eigenvalue_scaling_experiment(
+        spec, (10**-2.5, 1e-3, 10**-3.5), grid_factor=0.04)
+    run()
+    wall, cpu, own = time.perf_counter(), time.process_time(), time.thread_time()
+    while time.perf_counter() - wall < 0.5:
+        run()
+    wall, cpu, own = (time.perf_counter() - wall, time.process_time() - cpu,
+                      time.thread_time() - own)
+    assert cpu / wall <= 1.3
+    assert (cpu - own) / wall <= 0.3

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumplab import (CallableField, CoefficientSet, DerivativeOrderError,
+from jumplab import (PRESET_NAMES, CallableField, CoefficientSet, DerivativeOrderError,
                      DistPowerField, Domain, MatrixField, PolyField, TrigWave,
                      ValidationError, VectorField, apply_adjoint,
                      apply_adjoint_power, apply_generator, const,
-                     diffusion_root, nondivergence_drift, validate_coefficients)
+                     diffusion_root, nondivergence_drift, preset, validate_coefficients)
 from jumplab.fields import LinearCombo, Product
 
 
@@ -266,6 +266,44 @@ def test_validate_coefficients_reports_and_raises():
     for bad in (coeffs_1d(a=nan), coeffs_1d(V=nan), coeffs_1d(mu=nan)):
         with pytest.raises(ValidationError):
             validate_coefficients(dom, bad)
+
+
+def vanishing_density_coeffs(shape, scale=1.0):
+    """Densities of mass ``scale`` that vanish to first order on the boundary,
+    so the plain trapezoid rule misses their mass by h^2 = 1.0e-6."""
+    if shape == "disk":  # (2/pi)(1 - r^2)(1 + 0.3y), tilted, on the unit disk
+        c = scale * 2.0 / math.pi
+        mu = PolyField.from_dict(2, {(0, 0): c, (0, 1): 0.3 * c, (2, 0): -c, (0, 2): -c,
+                                     (2, 1): -0.3 * c, (0, 3): -0.3 * c})
+        domain = Domain.disk(0.0, 0.0, 1.0)
+    else:  # 36 x(1 - x) y(1 - y) on the unit square
+        c = 36.0 * scale
+        mu = PolyField.from_dict(2, {(1, 1): c, (2, 1): -c, (1, 2): -c, (2, 2): c})
+        domain = Domain.rectangle(0.0, 0.0, 1.0, 1.0)
+    coeffs = CoefficientSet(
+        diffusion=MatrixField.identity(2), drift=VectorField.zero(2),
+        intensity=PolyField.from_dict(2, {(0, 0): 1.0, (1, 0): 0.5}), redistribution=mu,
+        boundary_data=PolyField.from_dict(2, {(1, 0): 1.0, (0, 1): 0.5}),
+        vanishing_order=1)
+    return domain, coeffs
+
+
+@pytest.mark.parametrize("shape", ["disk", "square"])
+def test_mass_check_accepts_normalized_densities_that_vanish_on_the_boundary(shape):
+    rep = validate_coefficients(*vanishing_density_coeffs(shape))
+    assert rep["redistribution_mass"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-5, 1 + 1e-5])
+@pytest.mark.parametrize("shape", ["disk", "square"])
+def test_mass_check_rejects_densities_off_by_1e_5(shape, scale):
+    with pytest.raises(ValidationError, match="redistribution mass"):
+        validate_coefficients(*vanishing_density_coeffs(shape, scale))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_preset_validates(name):
+    preset(name).validate()
 
 
 @pytest.mark.parametrize("k", [-1, 1.5, "1", True])

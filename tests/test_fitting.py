@@ -65,6 +65,21 @@ def test_fit_slope_plain_line():
     assert slope == pytest.approx(-0.7, abs=1e-12)
     assert intercept == pytest.approx(2.0, abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
+    for x in ([0.1, 0.1, 0.1], [2.0]):  # no line through a single abscissa
+        with pytest.raises(ValidationError):
+            fit_slope(x, np.arange(len(x), dtype=float))
+
+
+def test_fit_slope_matches_polyfit():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        x = rng.uniform(-5.0, 5.0, n) + rng.normal(0.0, 3.0)
+        y = rng.normal(0.0, 2.0) * x + rng.normal(0.0, 5.0) + rng.normal(0.0, 1.0, n)
+        slope, intercept, _ = fit_slope(x, y)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        assert abs(slope - ref_slope) <= 1e-12 * max(1.0, abs(ref_slope))
+        assert abs(intercept - ref_intercept) <= 1e-12 * max(1.0, abs(ref_intercept))
 
 
 def test_sqrt_delta_limit_two_points():
