@@ -14,7 +14,8 @@ and the engine's own ``lane_steps`` (blocks simulated) and ``iterations``
 
 Finite differences: ``factorizations`` (sparse LUs, every one of them, the
 local factor of ``solve_no_jump_prob`` included), ``lu_nnz`` (their L+U
-nonzeros summed), ``solves`` (triangular solve pairs with those factors) and
+nonzeros summed), ``lu_nnz_max`` (the L+U nonzeros of the largest single
+factor), ``solves`` (triangular solve pairs with those factors) and
 ``eigen_iterations`` (inverse power iterations).
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from jumplab import fdm, mc  # noqa: E402
 import workloads  # noqa: E402
 
 COUNTS = ["paths", "nominal_steps", "lockstep_span", "lane_steps", "iterations",
-          "factorizations", "lu_nnz", "solves", "eigen_iterations"]
+          "factorizations", "lu_nnz", "lu_nnz_max", "solves", "eigen_iterations"]
 
 
 def main(argv=None):
@@ -61,6 +62,7 @@ def main(argv=None):
             self.lu, self.nnz = lu, lu.nnz
             counts["factorizations"] += 1
             counts["lu_nnz"] += lu.nnz
+            counts["lu_nnz_max"] = max(counts["lu_nnz_max"], lu.nnz)
 
         def solve(self, rhs):
             counts["solves"] += 1

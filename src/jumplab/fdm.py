@@ -11,9 +11,10 @@ for that model, axis by axis.
 The redistribution term is a rank-one coupling v w^T (the intensity column
 times the mu-quadrature row); Dirichlet solves and the inverse-power
 eigenvalue iteration reuse one sparse LU factorization of the local part
-through a rank-one update identity.  Every factorization orders its columns
-by minimum degree on the pattern of A + A^T (SuperLU's MMD_AT_PLUS_A), which
-fills the 5-/9-point grid matrices far less than the default COLAMD order.
+through a rank-one update identity.  The unknowns are numbered in the order
+they are factored in: ``build_grid`` lists a 2D interior in nested-dissection
+order taken from the tensor shape, and every factorization keeps that order.
+1D interiors stay sorted, as a tridiagonal matrix does not fill.
 Vector dots and norms go through ``reductions.dot``.  Assembly enforces
 h <= 0.5 * sqrt(delta a_min / V_max), which resolves the boundary layer of
 width ~ sqrt(delta a / V), along every axis with Dirichlet ends unless
@@ -21,6 +22,7 @@ overridden.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -91,7 +93,7 @@ class Grid:
     coords: object            # grid coordinates <-> cartesian, scale factors, unit vectors
     coordinates: np.ndarray   # (N, d) grid coordinates
     points: np.ndarray        # (N, d) cartesian coordinates
-    interior: np.ndarray      # flat ids
+    interior: np.ndarray      # flat ids, in the unknowns' factorization order
     boundary: np.ndarray      # flat ids
     cell_weights: np.ndarray  # (N,) trapezoid volume weights
 
@@ -123,12 +125,64 @@ def _trapezoid(x):
     return w
 
 
+# Nested dissection does not split a block under this many nodes wide.
+ND_MIN_WIDTH = 3
+
+
+def _dissection_order(width, rows, cols, periodic):
+    """Flat ids of the block ``rows`` x ``cols`` of a 2D tensor grid ``width``
+    nodes wide, in nested-dissection order: a block's two halves, then the
+    line between them.
+
+    A box bisects its longer axis (across the rows on a tie) until it is under
+    ND_MIN_WIDTH nodes wide; such a leaf is row-major.  On a periodic second
+    axis whole rings (one row) separate while a ring is shorter than the two
+    radial lines, half a turn apart, that would open the axis; then those two
+    lines cut each band of rings into two boxes.  A block's order depends on
+    its shape alone, so each shape is ordered once, as offsets from the
+    block's first node: one or two shapes per level of the tree.
+    """
+    half = width // 2
+
+    def join(low, high, shift, *lines):  # shifts high in the copy, not in the cache
+        order = np.concatenate([low, high, *lines])
+        order[len(low):len(low) + len(high)] += shift
+        return order
+
+    @functools.cache
+    def box(h, w):
+        if min(h, w) < ND_MIN_WIDTH:
+            return (np.arange(h)[:, None] * width + np.arange(w)).ravel()
+        if h >= w:
+            m = h // 2
+            return join(box(m, w), box(h - m - 1, w), (m + 1) * width, m * width + np.arange(w))
+        m = w // 2
+        return join(box(h, m), box(h, w - m - 1), m + 1, np.arange(h) * width + m)
+
+    @functools.cache
+    def band(h):  # h whole rings
+        if width < 2 * h:
+            m = h // 2
+            return join(band(m), band(h - m - 1), (m + 1) * width, m * width + np.arange(width))
+        lines = np.arange(h) * width
+        return join(box(h, half - 1) + 1, box(h, width - half - 1), half + 1, lines, lines + half)
+
+    order = band(len(rows)) if periodic else box(len(rows), len(cols))
+    # box and band refer to themselves: free their cached orders now, not at
+    # the next cycle collection
+    box.cache_clear()
+    band.cache_clear()
+    order += rows.start * width + cols.start  # no longer shared with the cache
+    return order
+
+
 def build_grid(domain: Domain, n, n_angular=64) -> Grid:
     """Tensor grid with ``n`` nodes per principal axis.
 
     Box grids take ``n`` or a per-axis tuple.  Polar grids take ``n`` radial
     and ``n_angular`` angular nodes; the disk excises a small core whose ring
-    is closed by a reflecting face.
+    is closed by a reflecting face.  A 2D interior is listed in
+    nested-dissection order, a 1D one sorted.
     """
     if isinstance(domain, Box):
         d = domain.dim
@@ -163,9 +217,13 @@ def build_grid(domain: Domain, n, n_angular=64) -> Grid:
     for w in weights[1:]:
         cell_weights = np.multiply.outer(cell_weights, w)
     xi = xi.reshape(-1, d)
+    if d == 2:
+        inside = (range(int(0 in ends), m - int(-1 in ends)) for m, ends in zip(shape, dirichlet))
+        interior = _dissection_order(shape[1], *inside, periodic[1])
+    else:
+        interior = np.flatnonzero(~on_bdy)
     return Grid(domain, family, axes, shape, periodic, dirichlet, coords, xi,
-                coords.to_cartesian(xi), np.flatnonzero(~on_bdy), np.flatnonzero(on_bdy),
-                cell_weights.ravel())
+                coords.to_cartesian(xi), interior, np.flatnonzero(on_bdy), cell_weights.ravel())
 
 
 def layer_scale(coeffs: CoefficientSet, grid: Grid):
@@ -310,9 +368,11 @@ def assemble_operator(delta, coeffs: CoefficientSet, grid: Grid,
 
 
 def _factor(A):
-    """Sparse LU of ``A``, columns in minimum-degree order on the pattern of A + A^T."""
+    """Sparse LU of ``A`` with its columns in their given order: the order of
+    ``Grid.interior``, nested dissection in 2D (a bordered matrix adds its
+    border last)."""
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(A.tocsc(), permc_spec="NATURAL")
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise SolverError(f"sparse LU failed: {err}") from err
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import time
@@ -184,6 +185,89 @@ def test_lu_ordering_cuts_fill(name, n, n_angular):
     x = solver.local.solve(rhs)
     x_colamd = colamd.solve(rhs)
     assert np.max(np.abs(x - x_colamd)) <= 1e-12 * np.max(np.abs(x_colamd))
+
+
+def _nested_dissection_reference(grid):
+    """The 2D interior order that build_grid documents, one Python call per block."""
+    width = grid.shape[1]
+    rows, cols = (list(range(int(0 in ends), m - int(-1 in ends)))
+                  for m, ends in zip(grid.shape, grid.dirichlet))
+
+    def box(rows, cols):
+        if min(len(rows), len(cols)) < fdm.ND_MIN_WIDTH:
+            return [r * width + c for r in rows for c in cols]
+        if len(rows) >= len(cols):
+            m = len(rows) // 2
+            return box(rows[:m], cols) + box(rows[m + 1:], cols) + box([rows[m]], cols)
+        m = len(cols) // 2
+        return box(rows, cols[:m]) + box(rows, cols[m + 1:]) + box(rows, [cols[m]])
+
+    def band(rows):  # whole rings of a periodic second axis
+        if width < 2 * len(rows):
+            m = len(rows) // 2
+            return band(rows[:m]) + band(rows[m + 1:]) + box([rows[m]], cols)
+        half = width // 2
+        return (box(rows, cols[1:half]) + box(rows, cols[half + 1:])
+                + box(rows, [0]) + box(rows, [half]))
+
+    return np.array(band(rows) if grid.periodic[1] else box(rows, cols))
+
+
+@pytest.mark.parametrize("domain,n,n_angular", [
+    (Domain.interval(0.0, 1.0), 41, 64),
+    (Domain.rectangle(0.0, 0.0, 1.0, 2.0), (41, 23), 64),
+    (Domain.rectangle(0.0, 0.0, 1.0, 2.0), (5, 60), 64),
+    (Domain.rectangle(0.0, 0.0, 1.0, 2.0), (3, 3), 64),
+    (Domain.disk(0.0, 0.0, 1.0), 30, 8), (Domain.disk(0.0, 0.0, 1.0), 30, 64),
+    (Domain.annulus(0.0, 0.0, 0.5, 1.0), 30, 8), (Domain.annulus(0.0, 0.0, 0.5, 1.0), 30, 64),
+], ids=["interval", "rect-41x23", "rect-5x60", "rect-3x3", "disk-8", "disk-64",
+        "annulus-8", "annulus-64"])
+def test_interior_order_is_a_permutation_of_the_non_boundary_ids(domain, n, n_angular):
+    grid = fdm.build_grid(domain, n, n_angular)
+    index = np.unravel_index(np.arange(grid.n_nodes), grid.shape)
+    on_bdy = np.zeros(grid.n_nodes, dtype=bool)
+    for k, ends in enumerate(grid.dirichlet):
+        on_bdy |= ((index[k] == 0) & (0 in ends)) | ((index[k] == grid.shape[k] - 1) & (-1 in ends))
+    assert np.array_equal(np.sort(grid.interior), np.flatnonzero(~on_bdy))
+    assert np.array_equal(grid.boundary, np.flatnonzero(on_bdy))
+    assert np.array_equal(fdm.build_grid(domain, n, n_angular).interior, grid.interior)
+    if domain.dim == 1:
+        assert np.all(np.diff(grid.interior) > 0)
+    else:
+        assert np.array_equal(grid.interior, _nested_dissection_reference(grid))
+
+
+@pytest.mark.parametrize("case", ["rectangle-a12", "disk", "annulus"])
+def test_solves_do_not_depend_on_the_interior_order(case):
+    if case == "rectangle-a12":
+        a12 = PolyField.from_dict(2, {(1, 1): 0.2})
+        coeffs = CoefficientSet(
+            diffusion=MatrixField(((const(2, 1.0), a12), (a12, const(2, 1.5)))),
+            drift=VectorField.constant((0.5, -0.7)),
+            intensity=PolyField.from_dict(2, {(0, 0): 1.0, (1, 0): 1.0}),
+            redistribution=const(2, 0.5), boundary_data=const(2, 0.0), vanishing_order=0)
+        grid = fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 2.0), (21, 31))
+    else:
+        spec = preset("disk-k0-radial" if case == "disk" else "annulus-flux")
+        coeffs, grid = spec.coeffs, fdm.build_grid(spec.domain, 41, 32)
+    delta = 0.05
+    f = PolyField.from_dict(2, {(1, 0): 1.0})
+    sorted_grid = dataclasses.replace(grid, interior=np.sort(grid.interior))
+    assert not np.array_equal(sorted_grid.interior, grid.interior)
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    eig, eig_sorted = (fdm.principal_eigenvalue(delta, coeffs, g) for g in (grid, sorted_grid))
+    diag = fdm.assemble_local(delta, coeffs, grid)[0].diagonal()
+    floor = 32 * np.finfo(float).eps * np.max(np.abs(diag))
+    assert abs(eig.lambda0 - eig_sorted.lambda0) <= floor + 1e-10 * eig_sorted.lambda0
+    assert close(eig.eigenfunction.values, eig_sorted.eigenfunction.values)
+    phi, phi_sorted = (fdm.solve_exit_functional(delta, coeffs, g, f=f) for g in (grid, sorted_grid))
+    assert close(phi.values, phi_sorted.values)
+    u, u_sorted = (fdm.solve_no_jump_prob(delta, coeffs, g) for g in (grid, sorted_grid))
+    assert close(u.values, u_sorted.values)
+    assert close(fdm.boundary_flux(u, coeffs).values, fdm.boundary_flux(u_sorted, coeffs).values)
 
 
 def _dense_principal_eigenvalue(op):
