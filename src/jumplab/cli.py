@@ -143,9 +143,11 @@ def cmd_mc(args):
     cfg = mc.SimConfig(delta=delta, dt=dt, n_paths=paths, seed=args.seed,
                        exit_mode=exit_mode, horizon=horizon,
                        chunk_size=_mc_setting(section, "chunk_size", 32768, int))
-    bins = args.bins if args.bins is not None else (2 if spec.domain.dim == 1 else 36)
-    est = mc.estimate_exit_law(spec.start_point(), spec.coeffs, spec.domain, cfg,
-                               bins=bins, workers=args.workers)
+    edges = mc.bin_edges(spec.domain, args.bins if args.bins is not None
+                         else (2 if spec.domain.dim == 1 else 36))
+    ens = mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=spec.start_point(),
+                               workers=args.workers)
+    est = mc.exit_law_summary(ens, spec.coeffs, spec.domain, cfg, bins=edges)
     out = _outdir(args)
     payload = {
         "delta": delta, "dt": dt, "n_paths": paths, "seed": args.seed,
@@ -157,8 +159,6 @@ def cmd_mc(args):
     }
     experiments.write_summary_json(payload, out / "mc.json")
     if args.save_paths:
-        ens = mc.simulate_ensemble(spec.coeffs, spec.domain, cfg,
-                                   x0=spec.start_point(), workers=args.workers)
         ens.to_csv(out / "paths.csv")
     print(f"mean f = {est.mean_f:.6f} +/- {est.stderr_f:.2e} "
           f"(jumps/path {est.mean_jumps:.2f}, censored {est.n_censored})")

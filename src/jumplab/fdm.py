@@ -222,8 +222,14 @@ def build_grid(domain: Domain, n, n_angular=64) -> Grid:
         interior = _dissection_order(shape[1], *inside, periodic[1])
     else:
         interior = np.flatnonzero(~on_bdy)
+    if family == "polar":  # one cosine and sine per angle, broadcast over the radii
+        r, theta = axes
+        points = np.stack([coords.cx + r[:, None] * np.cos(theta),
+                           coords.cy + r[:, None] * np.sin(theta)], axis=-1).reshape(-1, d)
+    else:
+        points = coords.to_cartesian(xi)
     return Grid(domain, family, axes, shape, periodic, dirichlet, coords, xi,
-                coords.to_cartesian(xi), interior, np.flatnonzero(on_bdy), cell_weights.ravel())
+                points, interior, np.flatnonzero(on_bdy), cell_weights.ravel())
 
 
 def layer_scale(coeffs: CoefficientSet, grid: Grid):
@@ -424,8 +430,10 @@ class GridFunction:
     values: np.ndarray  # (N,)
 
     def at(self, x):
-        """Value at an arbitrary point by multilinear interpolation in grid coordinates."""
+        """Value at a point of the closed domain by multilinear interpolation in
+        grid coordinates; a point outside raises ValidationError."""
         g = self.grid
+        g.domain.require_inside(x, "evaluation point")
         xi = g.coords.from_cartesian(np.atleast_1d(np.asarray(x, dtype=float)))
         value = self.values.reshape(g.shape)
         for q, ax, n, h, periodic in zip(xi, g.axes, g.shape, g.spacing, g.periodic):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, ValidationError
 
 # Boundary membership tolerance, relative to the domain diameter.
 BOUNDARY_TOL_FACTOR = 1e-9
@@ -150,6 +150,18 @@ class Domain:
 
     def contains(self, x):
         return self.signed_distance(x) > 0.0
+
+    def require_inside(self, x, what):
+        """Raise ValidationError if a point of ``x`` lies farther than the boundary
+        tolerance outside the closed domain, or is not a point of this dimension;
+        ``what`` names it in the message."""
+        try:
+            sd = np.min(self.signed_distance(x))
+        except ValueError as exc:
+            raise ValidationError(f"{what}: {exc}") from None
+        if not sd >= -self.boundary_tol:
+            raise ValidationError(f"{what} {np.asarray(x).tolist()} lies outside the "
+                                  f"domain {self!r} (signed distance {sd:.3e})")
 
     def project_to_boundary(self, x):
         """Nearest boundary point (exact for both families)."""

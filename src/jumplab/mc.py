@@ -9,11 +9,25 @@ Each lane keeps its own integer step counter t.  One lockstep iteration
 advances a lane by a block of m steps: one Gaussian draw scaled by sqrt(m),
 drift times m, and (for the 1D bridge) the step variance times m.  When a and
 b are constant, m is the largest power of 2 with
-r^2 >= 2*d*BRIDGE_EXPONENT_CUTOFF*m*delta*lambda_max(a)*dt, where r is the
-lane's distance to the boundary net of the block's drift shift, so the path
-touches the boundary inside a block with probability below 4d*e^-40: exit
-points, the step grid of exit times, the first-crossing bias and the bridge
-correction stay those of the one-step chain.  Otherwise m = 1.
+r^2 >= 2*d*BRIDGE_EXPONENT_CUTOFF*m*delta*lambda_max(a)*dt, where r is a
+distance to the boundary net of the block's drift shift, so the path reaches
+that far inside a block with probability below 4d*e^-40.  Otherwise m = 1.
+
+- First crossing: r is the distance to the nearest boundary point, so exit
+  points, the step grid of exit times and the first-crossing bias stay those
+  of the one-step chain.
+- 1D bridge: r is the distance to the far end.  With constant a and b the
+  bridge test exp(-2*d0*d1/S), S = delta*a*m*dt, is exact for one wall over a
+  block of any length, so the near end needs no guard.  A lane that exits in a
+  block of m > 1 steps (end point outside, or the bridge fires) exits at step
+  t + ceil(m*s/T), where s is the crossing time within a block of length T.
+  Given the block's end points, at distances d0 and d1 from the wall crossed,
+  u = s/(T - s) is inverse Gaussian with mean d0/d1 and shape d0^2/S (Levy
+  with scale d0^2/S when d1 = 0): the hitting density of the wall at s times
+  the free transition density from the wall to the end point over T - s is
+  proportional, in u, to u^-3/2 exp(-(d0^2/u + d1^2*u)/(2S)).  The block then
+  has the law of the one-step bridge chain: exit side, exit step, jumps.  A
+  lane that starts on or outside the boundary takes single steps.
 
 The jump clock is thinned: it rings at the bound Vbar of V, at the step
 ring = t + ceil(E / (Vbar*dt)) for a fresh unit exponential E, and a ring is
@@ -238,7 +252,11 @@ def _block_steps(r, var, shift):
     """Per lane, the largest power of 2, m, with (r - m*shift)^2 >= var*m and
     r >= m*shift; 1 where there is none.
 
-    Both conditions hold exactly for m up to the smaller root of the quadratic,
+    With var = 2d*BRIDGE_EXPONENT_CUTOFF times the one-step variance, a block
+    of m steps reaches r with probability below 4d*e^-40.  ``r`` is the
+    distance to the nearest boundary point under first crossing, and to the far
+    end in 1D bridge mode, where the bridge test covers the near end.  Both
+    conditions hold exactly for m up to the smaller root of the quadratic,
     written here in a form free of cancellation.
     """
     r = np.maximum(r, 0.0)
@@ -248,6 +266,30 @@ def _block_steps(r, var, shift):
         root = r * r / var
     exponent = np.frexp(root)[1]  # root = mantissa * 2**exponent, mantissa in [0.5, 1)
     return np.left_shift(1, np.minimum(np.maximum(exponent - 1, 0), 62), dtype=np.int64)
+
+
+def _crossing_ratio(rng, d0, d1, var):
+    """Per lane, u = s/(T - s) for the time s at which a Brownian path over a
+    block of length T, from distance d0 > 0 of a wall to distance d1 >= 0 of it
+    with block variance ``var``, first crosses the wall; given that it does.
+
+    u is IG(d0/d1, d0^2/var), drawn by the transformation method of Michael,
+    Schucany and Haas (1976), written without cancellation and without dividing
+    by d1: at d1 = 0 it is Levy(d0^2/var).
+    """
+    c = rng.standard_normal(len(d0)) ** 2 * var / (2.0 * d0)
+    root = d0 / (d1 + c + np.sqrt(c * c + 2.0 * d1 * c))
+    accept = rng.random(len(d0)) * (d0 + d1 * root) < d0
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(accept, root, d0 / d1 * (d0 / (d1 * root)))
+
+
+def _crossing_steps(m, u):
+    """The step k = ceil(m*s/T) in [1, m] of a block of m steps that holds the
+    crossing time s, from u = s/(T - s)."""
+    with np.errstate(divide="ignore"):
+        k = np.ceil(m / (1.0 + 1.0 / u)).astype(np.int64)
+    return np.minimum(np.maximum(k, 1), m)
 
 
 def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on_jump):
@@ -296,6 +338,21 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
         block_var = 2 * d * BRIDGE_EXPONENT_CUTOFF * cfg.delta * kin.a_max * dt
         block_shift = cfg.delta * kin.b_norm * dt
 
+    def exit_steps(mask, wall):
+        """The step at which each lane in ``mask`` crosses its ``wall`` point: the
+        block's end after a single step, else a draw from the bridge's law."""
+        steps = t_new[mask]
+        if bridge and kin.blocks:
+            k = m[mask]
+            long = k > 1
+            if np.count_nonzero(long):
+                k, wall = k[long], wall[long, 0]
+                u = _crossing_ratio(rng, np.abs(x[mask, 0][long] - wall),
+                                    np.abs(xn[mask, 0][long] - wall),
+                                    cfg.delta * kin.a00_const * dt * k)
+                steps[long] += _crossing_steps(k, u) - k
+        return steps
+
     def retire(mask, points, steps, status):
         ids = lane[mask]
         out_points[ids] = points
@@ -326,7 +383,10 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
         # a block stops short of the ring step and of the horizon; a ringing lane
         # takes its ring step alone
         if kin.blocks:
-            m = np.minimum(_block_steps(dist, block_var, block_shift),
+            reach = dist
+            if bridge:  # sized against the far end; lanes not inside take single steps
+                reach = np.where(dist > 0, np.maximum(x[:, 0] - xl, xr - x[:, 0]), 0.0)
+            m = np.minimum(_block_steps(reach, block_var, block_shift),
                            np.minimum(ring - t - 1, horizon - t))
             np.maximum(m, 1, out=m)
             root_m = np.sqrt(m)
@@ -384,10 +444,10 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
 
         any_out = np.count_nonzero(outside) > 0
         if any_out:
-            retire(outside, domain.project_to_boundary(xn[outside]),
-                   t_new[outside], STATUS_EXIT)
+            wall = domain.project_to_boundary(xn[outside])
+            retire(outside, wall, exit_steps(outside, wall), STATUS_EXIT)
         if crossed is not None:
-            retire(crossed, cross_point, t_new[crossed], STATUS_EXIT)
+            retire(crossed, cross_point, exit_steps(crossed, cross_point), STATUS_EXIT)
 
         if any_jump and not stop_on_jump:
             n_j = int(jump.sum())
@@ -429,8 +489,11 @@ def simulate_ensemble(coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
     """Simulate all paths; ``x0=None`` starts each path from the redistribution density.
 
     ``workers`` only distributes chunks over processes; results are identical
-    for any worker count and execution order.
+    for any worker count and execution order.  An ``x0`` farther than the
+    boundary tolerance outside the domain raises ValidationError.
     """
+    if x0 is not None:
+        domain.require_inside(x0, "x0")
     sampler = MuSampler(coeffs, domain)
     kin = _Kinetics(coeffs, domain)
     n = cfg.n_paths
@@ -474,7 +537,7 @@ class ExitLawEstimate:
     n_censored: int
 
 
-def _default_bin_edges(domain: Domain, bins):
+def bin_edges(domain: Domain, bins):
     """Explicit edges, or ``bins`` equal bins over the boundary coordinate range."""
     if not np.isscalar(bins):
         return np.asarray(bins, dtype=float)
@@ -485,14 +548,22 @@ def _default_bin_edges(domain: Domain, bins):
 
 def estimate_exit_law(x0, coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
                       bins=2, f=None, workers=1) -> ExitLawEstimate:
-    """Aggregate exit statistics over independent paths.
+    """Exit statistics of a fresh ensemble from ``x0``; see ``exit_law_summary``."""
+    edges = bin_edges(domain, bins)  # a bad bin count fails before the paths run
+    ens = simulate_ensemble(coeffs, domain, cfg, x0=x0, workers=workers)
+    return exit_law_summary(ens, coeffs, domain, cfg, bins=edges, f=f)
+
+
+def exit_law_summary(ens: PathEnsemble, coeffs: CoefficientSet, domain: Domain,
+                     cfg: SimConfig, bins=2, f=None) -> ExitLawEstimate:
+    """Aggregate exit statistics over the independent paths of ``ens``, which
+    ``cfg`` simulated.
 
     Censored paths are excluded from the exit histogram and f-average but
     enter the survival curve, sampled at 64 evenly spaced times up to the horizon
     (or the last exit time when there is none).
     """
-    edges = _default_bin_edges(domain, bins)
-    ens = simulate_ensemble(coeffs, domain, cfg, x0=x0, workers=workers)
+    edges = bin_edges(domain, bins)
     exited = ens.exited()
     n_exit = int(exited.sum())
     if n_exit == 0:
@@ -515,7 +586,7 @@ def estimate_exit_law(x0, coeffs: CoefficientSet, domain: Domain, cfg: SimConfig
         bin_edges=edges, bin_probs=probs, mean_f=mean_f, stderr_f=stderr_f,
         mean_jumps=float(np.mean(ens.jump_counts[exited])),
         survival_times=survival_grid, survival_probs=surv,
-        n_paths=cfg.n_paths, n_censored=int((ens.status == STATUS_CENSORED).sum()))
+        n_paths=ens.n_paths, n_censored=int((ens.status == STATUS_CENSORED).sum()))
 
 
 @dataclass(frozen=True)

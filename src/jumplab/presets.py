@@ -34,9 +34,12 @@ class ProblemSpec:
         """Structural coefficient checks plus the vanishing-order gate on 400
         boundary nodes.
 
-        Raises ValidationError when the declared order is inconsistent.
-        Returns (coefficient report, vanishing-order report).
+        Raises ValidationError when the declared order is inconsistent or x0
+        lies outside the domain.  Returns (coefficient report, vanishing-order
+        report).
         """
+        if self.x0 is not None:
+            self.domain.require_inside(self.x0, "x0")
         report = validate_coefficients(self.domain, self.coeffs)
         vreport = validate_vanishing_order(self.coeffs, self.domain.boundary_quadrature(400))
         if not vreport.passed:

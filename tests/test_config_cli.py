@@ -382,6 +382,21 @@ def test_cli_mc_bad_step_or_bins_is_an_error_line(flags, tmp_path, capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("x0", [[1.5], [[0.5, 0.5]]], ids=["outside", "two-coordinates"])
+@pytest.mark.parametrize("argv", [
+    ["mc", "--delta", "0.2", "--paths", "20"],
+    ["solve", "--delta", "1e-2"],
+], ids=["mc", "solve"])
+def test_cli_start_outside_the_domain_is_an_error_line(argv, x0, tmp_path, capsys):
+    # x0 = 1.5 on the unit interval: mc read mean f = 1 from paths that exit at
+    # once, and solve extrapolated phi past the grid to 2.55 > max f
+    p = tmp_path / "outside.json"
+    p.write_text(json.dumps(ASYM_CONFIG | {"x0": x0}))
+    assert main(argv + ["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x0" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_sweep_flux_on_a_ring(tmp_path):
     out = tmp_path / "f"
     rc = main(["sweep", "--preset", "annulus-flux", "--experiment", "flux",

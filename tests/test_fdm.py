@@ -426,6 +426,29 @@ def test_grid_function_interpolation_and_csv(tmp_path):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("name", ["interval-k0-uniform", "disk-k0-radial"])
+def test_grid_function_rejects_points_outside_the_domain(name):
+    spec = preset(name)
+    grid = fdm.build_grid(spec.domain, 11)
+    gf = fdm.GridFunction(grid, np.ones(grid.n_nodes))
+    outside = [np.array([1.5]), np.array([-1e-3])] if spec.domain.dim == 1 \
+        else [np.array([1.5, 0.0]), np.array([0.0, -1.001])]
+    for x in outside:
+        with pytest.raises(ValidationError, match="outside"):
+            gf.at(x)
+    on_boundary = np.array([1.0]) if spec.domain.dim == 1 else np.array([0.0, -1.0])
+    assert gf.at(on_boundary) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("domain", [Domain.disk(0.0, 0.0, 1.0), Domain.disk(0.3, -0.2, 2.0),
+                                    Domain.annulus(0.1, 0.4, 0.5, 1.0)],
+                         ids=["disk", "shifted-disk", "annulus"])
+@pytest.mark.parametrize("shape", [(400, 256), (37, 8)], ids=["400x256", "37x8"])
+def test_polar_points_are_the_mapped_coordinates(domain, shape):
+    grid = fdm.build_grid(domain, shape[0], n_angular=shape[1])
+    assert np.array_equal(grid.points, grid.coords.to_cartesian(grid.coordinates))
+
+
 def test_interior_decay_slope_constant_coefficients():
     spec = preset("interval-k0-uniform")
     vals = []

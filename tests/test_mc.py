@@ -241,22 +241,92 @@ def test_variable_diffusion_takes_single_steps():
     assert ens.iterations == int(np.rint(ens.exit_times.max() / cfg.dt))  # one chunk
 
 
-def test_blocks_keep_the_law_of_single_steps(monkeypatch):
+def _drift_half():
+    from jumplab import CoefficientSet, MatrixField, PolyField, VectorField, const
+    c = CoefficientSet(diffusion=MatrixField.identity(1), drift=VectorField.constant((0.5,)),
+                       intensity=const(1, 1.0), redistribution=const(1, 1.0),
+                       boundary_data=PolyField.from_dict(1, {(1,): 1.0}), vanishing_order=0)
+    return c, Domain.interval(0.0, 1.0)
+
+
+def _preset_problem(name):
+    spec = preset(name)
+    return spec.coeffs, spec.domain
+
+
+# (problem, x0 or None for mu, stop at the first jump, delta, dt, seeds)
+LAW_CASES = {
+    "asym": (lambda: _preset_problem("interval-k0-asym"), 0.5, False, 0.2, 1e-3, (26, 27)),
+    "uniform-in-layer": (lambda: _preset_problem("interval-k0-uniform"), 0.01, False,
+                         0.2, 1e-3, (32, 33)),
+    "flux-stop-on-jump": (lambda: _preset_problem("interval-flux-a2v3"), None, True,
+                          0.05, 1e-3, (34, 35)),
+    "drift-half": (_drift_half, 0.5, False, 0.2, 1e-3, (36, 37)),
+}
+
+
+def _outcomes(ens):
+    """Counts of exit left, exit right, censored and jumped."""
+    side = ens.exit_points[:, 0] > 0.5
+    return [np.count_nonzero(ens.exited() & ~side), np.count_nonzero(ens.exited() & side),
+            np.count_nonzero(ens.status == mc.STATUS_CENSORED),
+            np.count_nonzero(ens.status == mc.STATUS_JUMPED)]
+
+
+@pytest.mark.parametrize("case", list(LAW_CASES))
+def test_blocks_keep_the_law_of_single_steps(case, monkeypatch):
     # the same engine with every block cut to one step is the reference: exit
-    # times, jump counts and exit sides must agree in law (V and mu vary here)
-    spec = preset("interval-k0-asym")
-    cfg = mc.SimConfig(delta=0.2, dt=1e-3, n_paths=10000, seed=26, exit_mode="bridge-1d",
+    # times, jump counts, exit sides and outcomes must agree in law
+    problem, x0, stop_on_jump, delta, dt, (seed, seed_ref) = LAW_CASES[case]
+    coeffs, dom = problem()
+    x0 = None if x0 is None else np.array([x0])
+    cfg = mc.SimConfig(delta=delta, dt=dt, n_paths=10000, seed=seed, exit_mode="bridge-1d",
                        horizon=100.0)
-    blocks = mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=np.array([0.5]))
+    blocks = mc.simulate_ensemble(coeffs, dom, cfg, x0=x0, stop_on_jump=stop_on_jump)
     monkeypatch.setattr(mc, "_block_steps", lambda r, var, shift: np.ones(len(r), np.int64))
-    steps = mc.simulate_ensemble(spec.coeffs, spec.domain, replace(cfg, seed=27),
-                                 x0=np.array([0.5]))
+    steps = mc.simulate_ensemble(coeffs, dom, replace(cfg, seed=seed_ref), x0=x0,
+                                 stop_on_jump=stop_on_jump)
     assert blocks.lane_steps < steps.lane_steps / 2
     assert steps.lane_steps == nominal_steps(steps, cfg)
     assert scipy.stats.ks_2samp(blocks.exit_times, steps.exit_times).pvalue > 1e-3
     assert scipy.stats.ks_2samp(blocks.jump_counts, steps.jump_counts).pvalue > 1e-3
-    sides = [np.bincount(e.exit_points[:, 0] > 0.5, minlength=2) for e in (blocks, steps)]
-    assert scipy.stats.chi2_contingency(sides).pvalue > 1e-3
+    table = np.array([_outcomes(e) for e in (blocks, steps)])
+    table = table[:, table.sum(axis=0) > 0]
+    assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
+
+
+def test_bridge_blocks_reach_into_the_layer():
+    # from inside the layer sqrt(80*delta*a*dt) = 0.02 of the near end, a lane still
+    # takes blocks sized against the far end: one-step walking there cost about a
+    # fifth of the nominal steps
+    spec = preset("interval-k0-uniform")
+    cfg = mc.SimConfig(delta=0.05, dt=1e-4, n_paths=2000, seed=31, exit_mode="bridge-1d",
+                       horizon=2.0)
+    ens = mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=np.array([0.01]),
+                               stop_on_jump=True)
+    assert ens.lane_steps <= nominal_steps(ens, cfg) / 20
+    steps = ens.exit_times / cfg.dt
+    assert np.all(np.abs(steps - np.rint(steps)) <= 1e-6 * steps)
+    assert np.all(np.rint(steps) >= 1)
+    assert np.all(np.rint(steps) <= cfg.horizon_steps)
+    censored = ens.status == mc.STATUS_CENSORED
+    assert np.all(np.rint(steps[censored]) == cfg.horizon_steps)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1e-3, 1e-16, 0.0])
+def test_crossing_ratio_is_inverse_gaussian(ratio):
+    # u = s/(T - s) of the bridge's crossing time is IG(d0/d1, d0^2/S), Levy(d0^2/S)
+    # at d1 = 0; numpy's wald returns 0 at large mean/shape and NaN at d1 = 0
+    n, d0, var = 20000, 0.02, 3e-3
+    u = mc._crossing_ratio(rng(38), np.full(n, d0), np.full(n, ratio * d0), np.full(n, var))
+    assert np.all(np.isfinite(u)) and np.all(u > 0)
+    shape = d0 * d0 / var
+    law = (scipy.stats.invgauss(1.0 / (ratio * shape), scale=shape) if ratio
+           else scipy.stats.levy(scale=shape))
+    assert scipy.stats.kstest(u, law.cdf).pvalue > 1e-3
+    m = np.full(n, 1024)
+    k = mc._crossing_steps(m, u)
+    assert np.all((k >= 1) & (k <= m))
 
 
 def test_exit_before_jump_matches_closed_form():
@@ -391,6 +461,22 @@ def test_sim_config_validation():
     for delta, dt in ((math.inf, 1e-3), (0.1, math.inf)):
         with pytest.raises(ValidationError):
             mc.SimConfig(delta=delta, dt=dt, n_paths=10)
+
+
+@pytest.mark.parametrize("mode", ["first-crossing", "bridge-1d"])
+def test_start_outside_is_rejected_and_on_the_boundary_exits_at_once(mode):
+    spec = preset("interval-k0-uniform")
+    cfg = mc.SimConfig(delta=0.05, dt=1e-4, n_paths=200, seed=39, exit_mode=mode,
+                       horizon=10.0)
+    for x0 in (1.5, -0.5, float("nan")):
+        with pytest.raises(ValidationError, match="outside"):
+            mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=np.array([x0]))
+    if mode == "bridge-1d":  # the bridge fires with probability 1 from a wall
+        for x0 in (0.0, 1.0):
+            ens = mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=np.array([x0]))
+            assert np.all(ens.status == mc.STATUS_EXIT)
+            assert np.all(ens.exit_times == cfg.dt)
+            assert np.all(ens.exit_points[:, 0] == x0)
 
 
 def test_bridge_mode_needs_1d():
