@@ -8,10 +8,16 @@ stops on leaving the domain.
 Each lane keeps its own integer step counter t.  One lockstep iteration
 advances a lane by a block of m steps: one Gaussian draw scaled by sqrt(m),
 drift times m, and (for the 1D bridge) the step variance times m.  When a and
-b are constant, m is the largest power of 2 with
-r^2 >= 2*d*BRIDGE_EXPONENT_CUTOFF*m*delta*lambda_max(a)*dt, where r is a
-distance to the boundary net of the block's drift shift, so the path reaches
-that far inside a block with probability below 4d*e^-40.  Otherwise m = 1.
+b are constant, m is the largest integer with r >= m*shift and
+(r - m*shift)^2 >= 2*BRIDGE_EXPONENT_CUTOFF*m*delta*lambda_max(a)*dt, where r
+is a distance to the boundary and shift = delta*|b|*dt is the drift of one
+step.  Otherwise m = 1.  The noise S_k of the block's first k steps is a sum of
+independent symmetric vectors, so Levy's maximal inequality (Ledoux and
+Talagrand 1991, Probability in Banach Spaces, Prop. 2.3) gives, with
+s = r - m*shift, P(max_{k<=m} |S_k| >= s) <= 2 P(|S_m| >= s)
+<= 2 exp(-s^2 / (2*lambda_max(a)*delta*m*dt)) for d = 1 (the Gaussian tail)
+and d = 2 (the chi-squared tail with two degrees of freedom).  The path
+therefore reaches r inside a block with probability below 2e^-40.
 
 - First crossing: r is the distance to the nearest boundary point, so exit
   points, the step grid of exit times and the first-crossing bias stay those
@@ -35,8 +41,11 @@ a jump with probability V(x)/Vbar.  Vbar is V itself when V is constant (every
 ring jumps and no uniform is drawn); otherwise it is 1.05 times the largest V
 on the sample the redistribution sampler bounds mu on, and a lane where V
 exceeds it raises SamplingError.  A block never covers a ring step, so a ring
-happens at its exact step.  A lane retires on exit, on its first jump in
-stop-at-first-jump mode, or when t reaches the horizon.
+happens at its exact step.  Jump targets come from a per-chunk pool of draws
+from mu, refilled with max(n, lanes of the chunk) fresh draws when fewer than
+the n targets needed remain; each draw is used once and independently of the
+paths, so the targets are independent draws from mu.  A lane retires on exit,
+on its first jump in stop-at-first-jump mode, or when t reaches the horizon.
 
 Paths are simulated in lockstep chunks.  Each chunk owns a counter-based
 random stream derived from (master seed, chunk index), so results are
@@ -81,12 +90,15 @@ class SimConfig:
     chunk_size: int = 32768
 
     def __post_init__(self):
-        if not (0 < self.delta < math.inf and 0 < self.dt < math.inf and self.n_paths >= 1):
-            raise ValidationError("need finite delta > 0, finite dt > 0, n_paths >= 1")
+        for name, least in (("n_paths", 1), ("chunk_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                    and value >= least):
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (0 < self.delta < math.inf and 0 < self.dt < math.inf):
+            raise ValidationError("need finite delta > 0 and finite dt > 0")
         if self.exit_mode not in ("first-crossing", "bridge-1d"):
             raise ValidationError(f"unknown exit mode {self.exit_mode!r}")
-        if self.chunk_size < 1:
-            raise ValidationError("chunk_size must be >= 1")
         if self.horizon is not None and not self.horizon > 0:
             raise ValidationError(f"horizon must be > 0 or None, got {self.horizon!r}")
         if self.horizon is not None and not self.horizon / self.dt < 2**62:
@@ -218,8 +230,11 @@ class _Kinetics:
         if all(e is not None for e in entries):
             amat = np.asarray(entries, dtype=float).reshape(dim, dim)
             self.root_const = np.linalg.cholesky(amat)
+            # a diagonal root scales each coordinate: a broadcast, not a matmul
+            diag = np.diag(self.root_const)
+            self.root_diag = diag if np.array_equal(np.diag(diag), self.root_const) else None
         else:
-            self.root_const = None
+            self.root_const = self.root_diag = None
         self.diffusion = coeffs.diffusion
         self.a00 = coeffs.diffusion.entry(0, 0)
         self.a00_const = self.a00.constant_value()
@@ -237,9 +252,9 @@ class _Kinetics:
 
     def noise(self, x, xi):
         """sigma(x) @ xi, batched."""
+        if self.root_diag is not None:
+            return xi * self.root_diag
         if self.root_const is not None:
-            if self.dim == 1:
-                return xi * self.root_const[0, 0]
             return xi @ self.root_const.T
         if self.dim == 1:
             a = self.a00.eval(x)
@@ -249,23 +264,24 @@ class _Kinetics:
 
 
 def _block_steps(r, var, shift):
-    """Per lane, the largest power of 2, m, with (r - m*shift)^2 >= var*m and
-    r >= m*shift; 1 where there is none.
+    """Per lane, the largest integer m with (r - m*shift)^2 >= var*m and
+    r >= m*shift; 1 where there is none, and at most 2^62.
 
-    With var = 2d*BRIDGE_EXPONENT_CUTOFF times the one-step variance, a block
-    of m steps reaches r with probability below 4d*e^-40.  ``r`` is the
-    distance to the nearest boundary point under first crossing, and to the far
-    end in 1D bridge mode, where the bridge test covers the near end.  Both
-    conditions hold exactly for m up to the smaller root of the quadratic,
-    written here in a form free of cancellation.
+    With var = 2*BRIDGE_EXPONENT_CUTOFF times the one-step variance bound
+    delta*lambda_max(a)*dt, Levy's maximal inequality bounds the probability
+    that a block of m steps reaches r by 2e^-40 in d <= 2 (see the module
+    docstring).  ``r`` is the distance to the nearest boundary point under
+    first crossing, and to the far end in 1D bridge mode, where the bridge test
+    covers the near end.  Both conditions hold exactly for m up to the smaller
+    root of the quadratic, written here in a form free of cancellation; m is
+    its floor.
     """
     r = np.maximum(r, 0.0)
     if shift:
         root = 2.0 * r * r / (2.0 * r * shift + var + np.sqrt(var * var + 4.0 * var * r * shift))
     else:
         root = r * r / var
-    exponent = np.frexp(root)[1]  # root = mantissa * 2**exponent, mantissa in [0.5, 1)
-    return np.left_shift(1, np.minimum(np.maximum(exponent - 1, 0), 62), dtype=np.int64)
+    return np.clip(root, 1.0, float(NEVER)).astype(np.int64)
 
 
 def _crossing_ratio(rng, d0, d1, var):
@@ -310,6 +326,17 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
         gaps = np.ceil(rng.exponential(1.0, n) / ring_rate)
         return np.minimum(np.maximum(gaps, 1.0), float(NEVER)).astype(np.int64)
 
+    pool, pooled = np.empty((0, d)), 0
+
+    def targets(n):
+        """The next n jump targets from the chunk's pool of draws from mu,
+        refilled with max(n, n_lanes) fresh draws when it runs short."""
+        nonlocal pool, pooled
+        if pooled + n > len(pool):
+            pool, pooled = sampler.draw(rng, max(n, n_lanes)), 0
+        pooled += n
+        return pool[pooled - n:pooled]
+
     t = np.zeros(n_lanes, dtype=np.int64)
     ring = ring_gaps(n_lanes)
     dist = domain.signed_distance(x)
@@ -335,7 +362,7 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
             a_max = float(np.max(kin.a00.eval(probe)))
         near_tol = math.sqrt(0.5 * BRIDGE_EXPONENT_CUTOFF * cfg.delta * a_max * dt)
     if kin.blocks:
-        block_var = 2 * d * BRIDGE_EXPONENT_CUTOFF * cfg.delta * kin.a_max * dt
+        block_var = 2 * BRIDGE_EXPONENT_CUTOFF * cfg.delta * kin.a_max * dt
         block_shift = cfg.delta * kin.b_norm * dt
 
     def exit_steps(mask, wall):
@@ -450,9 +477,9 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
             retire(crossed, cross_point, exit_steps(crossed, cross_point), STATUS_EXIT)
 
         if any_jump and not stop_on_jump:
-            n_j = int(jump.sum())
-            xn[jump] = sampler.draw(rng, n_j)
-            dist_new[jump] = domain.signed_distance(xn[jump])
+            landed = targets(np.count_nonzero(jump))
+            xn[jump] = landed
+            dist_new[jump] = domain.signed_distance(landed)
             jumps[jump] += 1
         if any_ring:
             ring[ringing] = t_new[ringing] + ring_gaps(int(ringing.sum()))
@@ -469,13 +496,9 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
             retire(done, x[done], t[done], STATUS_CENSORED)
             drop = drop | done
         if np.count_nonzero(drop):
-            keep = ~drop
-            x = x[keep]
-            t = t[keep]
-            dist = dist[keep]
-            ring = ring[keep]
-            jumps = jumps[keep]
-            lane = lane[keep]
+            keep = np.flatnonzero(~drop)
+            x, t, dist, ring, jumps, lane = (
+                a.take(keep, axis=0) for a in (x, t, dist, ring, jumps, lane))
 
     return out_points, out_times, out_jumps, out_status, lane_steps, iterations
 

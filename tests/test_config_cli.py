@@ -382,6 +382,21 @@ def test_cli_mc_bad_step_or_bins_is_an_error_line(flags, tmp_path, capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flags, section", [
+    (["--seed", "-1"], {}),
+    ([], {"mc": {"chunk_size": 0}}),
+    ([], {"mc": {"paths": 0}}),
+], ids=["seed-negative", "chunk-size-zero", "paths-zero"])
+def test_cli_mc_bad_count_or_seed_is_an_error_line(flags, section, tmp_path, capsys):
+    # a negative seed reached numpy's SeedSequence and ended in a traceback
+    p = tmp_path / "counts.json"
+    p.write_text(json.dumps(ASYM_CONFIG | section))
+    argv = ["mc", "--delta", "0.2", "--config", str(p), "--out", str(tmp_path / "o")]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("x0", [[1.5], [[0.5, 0.5]]], ids=["outside", "two-coordinates"])
 @pytest.mark.parametrize("argv", [
     ["mc", "--delta", "0.2", "--paths", "20"],

@@ -1,9 +1,12 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumplab import Domain, ValidationError, preset
 from jumplab import fdm, mc
@@ -295,6 +298,67 @@ def test_blocks_keep_the_law_of_single_steps(case, monkeypatch):
     assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
 
 
+def _aniso_drift_square():
+    from jumplab import CoefficientSet, MatrixField, VectorField, const
+    rows = ((const(2, 1.0), const(2, 0.3)), (const(2, 0.3), const(2, 0.5)))
+    c = CoefficientSet(diffusion=MatrixField(rows), drift=VectorField.constant((0.5, -0.2)),
+                       intensity=const(2, 1.0), redistribution=const(2, 1.0),
+                       boundary_data=const(2, 0.0), vanishing_order=0)
+    return c, Domain.rectangle(0.0, 0.0, 1.0, 1.0)
+
+
+# (problem, x0, delta, dt, seeds): first crossing in 2D, horizon 100
+FIRST_CROSSING_CASES = {
+    "disk": (lambda: _preset_problem("disk-k0-radial"), (0.0, 0.0), 0.2, 2e-3, (40, 41)),
+    "aniso-drift-square": (_aniso_drift_square, (0.5, 0.5), 0.2, 1e-3, (42, 43)),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_CROSSING_CASES))
+def test_first_crossing_blocks_keep_the_law_of_single_steps(case, monkeypatch):
+    # blocks sized by Levy's inequality against the nearest boundary point, against
+    # the same engine with every block cut to one step: exit times, jump counts,
+    # exit coordinates (16 bins) and statuses must agree in law
+    problem, x0, delta, dt, (seed, seed_ref) = FIRST_CROSSING_CASES[case]
+    coeffs, dom = problem()
+    cfg = mc.SimConfig(delta=delta, dt=dt, n_paths=4000, seed=seed, horizon=100.0)
+    blocks = mc.simulate_ensemble(coeffs, dom, cfg, x0=np.array(x0))
+    monkeypatch.setattr(mc, "_block_steps", lambda r, var, shift: np.ones(len(r), np.int64))
+    steps = mc.simulate_ensemble(coeffs, dom, replace(cfg, seed=seed_ref), x0=np.array(x0))
+    assert blocks.lane_steps < steps.lane_steps / 2
+    assert steps.lane_steps == nominal_steps(steps, cfg)
+    assert scipy.stats.ks_2samp(blocks.exit_times, steps.exit_times).pvalue > 1e-3
+    assert scipy.stats.ks_2samp(blocks.jump_counts, steps.jump_counts).pvalue > 1e-3
+    edges = np.linspace(*dom.coordinate_range, 17)
+    table = np.array([np.histogram(dom.boundary_coordinate(e.exit_points[e.exited()])[0],
+                                   bins=edges)[0] for e in (blocks, steps)])
+    assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
+    table = np.array([np.bincount(e.status, minlength=3) for e in (blocks, steps)])
+    table = table[:, table.sum(axis=0) > 0]
+    if table.shape[1] > 1:
+        assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
+
+
+def _admissible(m, r, var, shift, slack):
+    """Exactly, in rationals: (r - m*shift)^2 >= var*m and r >= m*shift, each
+    right side scaled by 1 - slack."""
+    r, var, shift = Fraction(r), Fraction(var), Fraction(shift)
+    scale = 1 - Fraction(slack)
+    return (r - m * shift) ** 2 >= var * m * scale and r >= m * shift * scale
+
+
+@given(r=st.floats(0.0, 10.0), var=st.floats(1e-12, 1.0),
+       shift=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)))
+@settings(max_examples=300, deadline=None)
+def test_block_steps_is_the_largest_admissible_integer(r, var, shift):
+    # slack 1e-12 covers the rounding of the root computed in floating point
+    m = int(mc._block_steps(np.array([r]), var, shift)[0])
+    assert 1 <= m < mc.NEVER
+    if m > 1:
+        assert _admissible(m, r, var, shift, 1e-12)
+    assert not _admissible(m + 1, r, var, shift, -1e-12)
+
+
 def test_bridge_blocks_reach_into_the_layer():
     # from inside the layer sqrt(80*delta*a*dt) = 0.02 of the near end, a lane still
     # takes blocks sized against the far end: one-step walking there cost about a
@@ -461,6 +525,23 @@ def test_sim_config_validation():
     for delta, dt in ((math.inf, 1e-3), (0.1, math.inf)):
         with pytest.raises(ValidationError):
             mc.SimConfig(delta=delta, dt=dt, n_paths=10)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_paths", 2.5), ("n_paths", True), ("n_paths", 0), ("chunk_size", 2.5),
+    ("chunk_size", 0), ("seed", -1), ("seed", 1.5), ("seed", False),
+])
+def test_sim_config_rejects_bad_counts_and_seeds(field, value):
+    args = {"delta": 0.1, "dt": 1e-3, "n_paths": 10} | {field: value}
+    with pytest.raises(ValidationError, match=field):
+        mc.SimConfig(**args)
+
+
+def test_sim_config_takes_numpy_integers():
+    cfg = mc.SimConfig(delta=0.1, dt=1e-3, n_paths=np.int64(10), seed=np.uint32(3),
+                       chunk_size=np.int32(4), horizon=1.0)
+    spec = preset("interval-k0-uniform")
+    assert mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=np.array([0.5])).n_paths == 10
 
 
 @pytest.mark.parametrize("mode", ["first-crossing", "bridge-1d"])
