@@ -15,7 +15,8 @@ and the engine's own ``lane_steps`` (blocks simulated) and ``iterations``
 Finite differences: ``factorizations`` (sparse LUs, every one of them, the
 local factor of ``solve_no_jump_prob`` included), ``lu_nnz`` (their L+U
 nonzeros summed), ``lu_nnz_max`` (the L+U nonzeros of the largest single
-factor), ``solves`` (triangular solve pairs with those factors) and
+factor), ``fast_setups`` (fast-diagonalization solvers set up in place of a
+sparse LU), ``solves`` (local solves with either kind) and
 ``eigen_iterations`` (inverse power iterations).
 """
 from __future__ import annotations
@@ -34,7 +35,8 @@ from jumplab import fdm, mc  # noqa: E402
 import workloads  # noqa: E402
 
 COUNTS = ["paths", "nominal_steps", "lockstep_span", "lane_steps", "iterations",
-          "factorizations", "lu_nnz", "lu_nnz_max", "solves", "eigen_iterations"]
+          "factorizations", "lu_nnz", "lu_nnz_max", "fast_setups", "solves",
+          "eigen_iterations"]
 
 
 def main(argv=None):
@@ -45,6 +47,7 @@ def main(argv=None):
 
     counts = dict.fromkeys(COUNTS, 0)
     simulate, factor, eigen = mc.simulate_ensemble, fdm._factor, fdm.principal_eigenvalue
+    separable = fdm._SeparableSolver
 
     def counted_ensemble(coeffs, domain, cfg, *rest, **kwargs):
         ens = simulate(coeffs, domain, cfg, *rest, **kwargs)
@@ -68,6 +71,15 @@ def main(argv=None):
             counts["solves"] += 1
             return self.lu.solve(rhs)
 
+    class CountedSeparable(separable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts["fast_setups"] += 1
+
+        def solve(self, rhs):
+            counts["solves"] += 1
+            return super().solve(rhs)
+
     def counted_eigen(*args, **kwargs):
         res = eigen(*args, **kwargs)
         counts["eigen_iterations"] += res.iterations
@@ -76,11 +88,13 @@ def main(argv=None):
     mc.simulate_ensemble = counted_ensemble
     fdm._factor = lambda A: CountedLU(factor(A))
     fdm.principal_eigenvalue = counted_eigen
+    fdm._SeparableSolver = CountedSeparable
     try:
         for op in workloads.WORKLOADS[args.workload](args.seed).ops():
             op.call()
     finally:
         mc.simulate_ensemble, fdm._factor, fdm.principal_eigenvalue = simulate, factor, eigen
+        fdm._SeparableSolver = separable
     print(json.dumps({"workload": args.workload, "seed": args.seed, **counts}))
     return 0
 

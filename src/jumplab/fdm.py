@@ -10,11 +10,21 @@ for that model, axis by axis.
 
 The redistribution term is a rank-one coupling v w^T (the intensity column
 times the mu-quadrature row); Dirichlet solves and the inverse-power
-eigenvalue iteration reuse one sparse LU factorization of the local part
-through a rank-one update identity.  The unknowns are numbered in the order
-they are factored in: ``build_grid`` lists a 2D interior in nested-dissection
-order taken from the tensor shape, and every factorization keeps that order.
-1D interiors stay sorted, as a tridiagonal matrix does not fill.
+eigenvalue iteration reuse one set-up of a local solver for the local part
+A through a rank-one update identity.  There are two local solvers, and the
+structure of A picks one:
+
+- fast diagonalization (``_SeparableSolver``) where the grid is 2D, A couples
+  only axis neighbours, and its stencil along axis 1 (y on a box, theta on a
+  polar grid) is symmetric and the same at every index along that axis, as
+  with constant coefficients or ones that vary with x or r only.  A is then
+  a Kronecker sum; a solve is a sine or Fourier transform along axis 1 and
+  one tridiagonal solve per mode.  No sparse factor is formed.
+- one sparse LU factorization for every other operator: all 1D grids, cross
+  terms a12, coefficients that vary along axis 1, and drift along it.  Its
+  columns keep the order of the unknowns: ``build_grid`` lists a 2D interior
+  in nested-dissection order taken from the tensor shape, and a 1D interior
+  sorted, as a tridiagonal matrix does not fill.
 Vector dots and norms go through ``reductions.dot``.  Assembly enforces
 h <= 0.5 * sqrt(delta a_min / V_max), which resolves the boundary layer of
 width ~ sqrt(delta a / V), along every axis with Dirichlet ends unless
@@ -30,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import SolverError, ValidationError
 from .fields import CoefficientSet
@@ -393,18 +404,123 @@ class _LocalSolver:
         return self.lu.solve(rhs)
 
 
+# Stencil coefficients that differ by at most this much, relative, count as
+# equal: a radial V evaluated at cartesian points differs in its last bits
+# from angle to angle.
+SEPARABLE_RTOL = 8 * np.finfo(float).eps
+
+
+def _dst1(x):
+    """DST-I along axis 1, sum_l x_l sin(pi k (l + 1) / (m + 1)) for k = 1 .. m,
+    from the real FFT of ``x`` shifted one place into 2 (m + 1) zeros."""
+    m = x.shape[1]
+    padded = np.zeros((len(x), 2 * (m + 1)))
+    padded[:, 1:m + 1] = x
+    return -np.fft.rfft(padded, axis=1)[:, 1:m + 1].imag
+
+
+class _SeparableSolver:
+    """Fast diagonalization of a 2D local part that separates along axis 1.
+
+    With the interior as an m0 x m1 block of tensor positions (i, j), A must
+    couple only axis neighbours, and every coefficient of its stencil must be
+    the same at every j, with equal +1 and -1 coefficients c(i) along j.  Then
+    A = B (x) I + diag(c) (x) T, with B tridiagonal in i and T the second
+    difference in j: Dirichlet across a box axis, periodic around a ring.  A
+    solve transforms along j into the eigenvectors of T (sines, DST-I, or
+    Fourier modes), makes one tridiagonal solve B + lambda_j diag(c) per mode,
+    and transforms back (Lynch, Rice & Thomas 1964).  The tridiagonal systems
+    are stacked mode after mode into one, factored once by LAPACK ``gttrf``.
+    """
+
+    def __init__(self, pos, shape, periodic, lower, middle, upper, coupling):
+        m0, m1 = self.shape = shape
+        self.pos, self.periodic = pos, periodic
+        if periodic:  # real Fourier modes j = 0 .. m1/2, real and imaginary parts
+            lam = -4 * np.sin(math.pi * np.arange(m1 // 2 + 1) / m1) ** 2
+        else:  # sines j = 1 .. m1
+            lam = -4 * np.sin(math.pi * np.arange(1, m1 + 1) / (2 * (m1 + 1))) ** 2
+        bands = np.zeros((2, len(lam), m0))  # sub- and superdiagonal, 0 between modes
+        bands[0, :, :-1], bands[1, :, :-1] = lower[1:], upper[:-1]
+        *self.factors, info = lapack.dgttrf(bands[0].ravel()[:-1],
+                                            (middle + lam[:, None] * coupling).ravel(),
+                                            bands[1].ravel()[:-1])
+        if info > 0:
+            raise SolverError("fast-diagonalization factor is exactly singular")
+
+    @classmethod
+    def of(cls, A, grid):
+        """The solver of ``A`` on ``grid``, or None where A does not separate so."""
+        if len(grid.shape) != 2 or not (grid.periodic[1] or len(grid.dirichlet[1]) == 2):
+            return None
+        i, j = (ax - ax.min() for ax in np.unravel_index(grid.interior, grid.shape))
+        m0, m1 = int(i.max()) + 1, int(j.max()) + 1
+        A = sp.csc_matrix(A)
+        A.sum_duplicates()
+        A = A.tocoo()
+        i, j = i.astype(np.int32), j.astype(np.int32)  # halves the gathers below
+        i_row, j_row = i[A.row], j[A.row]
+        di, dj = i[A.col] - i_row, j[A.col] - j_row
+        if grid.periodic[1]:
+            dj = (dj + 1) % m1 - 1
+        if len(i) != m0 * m1 or np.any(np.abs(di) + np.abs(dj) > 1):
+            return None
+        stencil = np.zeros((9, m0 * m1))  # [3 (di + 1) + dj + 1] at the row's (i, j)
+        stencil[3 * di + dj + 4, i_row * m1 + j_row] = A.data
+        stencil = stencil.reshape(3, 3, m0, m1)
+        c = stencil[1, 2, :, 0]
+        along = np.zeros((2, m0, m1))  # the +1 and -1 coefficients along j, c(i)
+        along[:] = c[:, None]
+        if not grid.periodic[1]:  # no neighbour past the Dirichlet ends
+            along[0, :, -1] = along[1, :, 0] = 0.0
+        across = stencil[(0, 1, 2), (1, 1, 1), :, :1]  # i - 1, i, i + 1 at j = 0
+
+        def close(actual, expected):
+            return np.all(np.abs(actual - expected) <= SEPARABLE_RTOL * np.abs(expected))
+
+        if not (close(stencil[1, (2, 0)], along) and close(stencil[:, 1], across)):
+            return None
+        lower, middle, upper = across[..., 0]
+        return cls(i * m1 + j, (m0, m1), grid.periodic[1], lower, middle + 2 * c, upper, c)
+
+    def solve(self, rhs):
+        m0, m1 = self.shape
+        x = np.empty(m0 * m1)
+        x[self.pos] = rhs
+        x = x.reshape(m0, m1)
+        if self.periodic:
+            f = np.fft.rfft(x, axis=1).T
+            modes = np.stack([f.real, f.imag])
+        else:
+            modes = np.ascontiguousarray(_dst1(x).T)[None]
+        y = lapack.dgttrs(*self.factors, modes.reshape(len(modes), -1).T, overwrite_b=1)[0]
+        y = y.T.reshape(modes.shape)
+        if self.periodic:
+            x = np.fft.irfft((y[0] + 1j * y[1]).T, n=m1, axis=1)
+        else:
+            x = _dst1(y[0].T) * (2 / (m1 + 1))
+        return x.ravel()[self.pos]
+
+
+def _local_solver(A, grid=None):
+    """The fast-diagonalization solver of ``A`` where ``grid`` is 2D and A
+    separates along its axis 1, else the sparse LU one."""
+    return (grid is not None and _SeparableSolver.of(A, grid)) or _LocalSolver(A)
+
+
 class RankOneSolver:
     """Solves (A + v w^T) x = rhs, reusing one factorization of A.
 
     Two solves with A per right-hand side; when the rank-one denominator
     1 + w^T A^{-1} v degenerates, falls back to a bordered sparse solve of
-    [[A, v], [w^T, -1]].
+    [[A, v], [w^T, -1]].  Given the ``grid`` of A, the local solves use fast
+    diagonalization where A separates (``_SeparableSolver``).
     """
 
     DENOM_TOL = 1e-12
 
-    def __init__(self, A, v, w):
-        self.local = _LocalSolver(A)
+    def __init__(self, A, v, w, grid=None):
+        self.local = _local_solver(A, grid)
         self.v = np.asarray(v, dtype=float)
         self.w = np.asarray(w, dtype=float)
         self.z = self.local.solve(self.v)
@@ -462,7 +578,7 @@ def solve_no_jump_prob(delta, coeffs: CoefficientSet, grid: Grid) -> GridFunctio
     discrete maximum principle keeps interior values in (0, 1].
     """
     A_loc, B_bc = assemble_local(delta, coeffs, grid)
-    ui = _LocalSolver(A_loc).solve(-(B_bc @ np.ones(len(grid.boundary))))
+    ui = _local_solver(A_loc, grid).solve(-(B_bc @ np.ones(len(grid.boundary))))
     if not np.all(np.isfinite(ui)):
         raise SolverError("singular or ill-conditioned local solve")
     return _on_grid(grid, ui, 1.0)
@@ -479,7 +595,7 @@ def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None,
     f = coeffs.boundary_data if f is None else f
     fb = f.eval(grid.points[grid.boundary])
     rhs = -(op.B_bc @ fb) - op.v * dot(op.w_boundary, fb)
-    return _on_grid(grid, RankOneSolver(op.A_loc, op.v, op.w_interior).solve(rhs), fb)
+    return _on_grid(grid, RankOneSolver(op.A_loc, op.v, op.w_interior, grid).solve(rhs), fb)
 
 
 @dataclass(frozen=True)
@@ -502,7 +618,7 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid) -> EigenResu
     that raise SolverError.
     """
     op = assemble_operator(delta, coeffs, grid)
-    solver = RankOneSolver(op.A_loc, op.v, op.w_interior)
+    solver = RankOneSolver(op.A_loc, op.v, op.w_interior, grid)
     apply_negM = lambda psi: -(op.A_loc @ psi + op.v * dot(op.w_interior, psi))
 
     psi = np.full(len(grid.interior), 1.0 / math.sqrt(len(grid.interior)))

@@ -437,10 +437,19 @@ class Ring(Domain):
         ``end_corrected`` adds Gregory end weights in r, which makes the rule
         exact for integrands r * p(r) with p a quadratic; the periodic rule in
         theta is exact for trigonometric polynomials of degree below
-        ``resolution`` already.
+        ``resolution`` already.  On an annulus it also splits the radial rule
+        at the mid radius, where the distance to the boundary has its kink:
+        a node sits on the kink, and each half has Gregory ends.
         """
-        r, wr = _trapezoid(self.r_inner, self.r_outer, resolution, end_corrected)
-        n = len(r)
+        n = int(resolution)
+        if end_corrected and self.has_inner:
+            mid = (self.r_inner + self.r_outer) / 2
+            (r, wr), (r2, wr2) = (_trapezoid(lo, hi, n // 2 + 1, True)
+                                  for lo, hi in ((self.r_inner, mid), (mid, self.r_outer)))
+            wr[-1] += wr2[0]
+            r, wr = np.concatenate([r, r2[1:]]), np.concatenate([wr, wr2[1:]])
+        else:
+            r, wr = _trapezoid(self.r_inner, self.r_outer, n, end_corrected)
         th = 2 * math.pi * np.arange(n) / n
         R, TH = np.meshgrid(r, th, indexing="ij")
         X = self.origin[0] + R * np.cos(TH)

@@ -95,6 +95,13 @@ class SimConfig:
             if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
                     and value >= least):
                 raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("delta", "dt", "horizon"):
+            value = getattr(self, name)
+            if name == "horizon" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not (0 < self.delta < math.inf and 0 < self.dt < math.inf):
             raise ValidationError("need finite delta > 0 and finite dt > 0")
         if self.exit_mode not in ("first-crossing", "bridge-1d"):

@@ -270,6 +270,106 @@ def test_solves_do_not_depend_on_the_interior_order(case):
     assert close(fdm.boundary_flux(u, coeffs).values, fdm.boundary_flux(u_sorted, coeffs).values)
 
 
+def _coeffs_2d(a11=None, V=None, b=(0.0, 0.0)):
+    return CoefficientSet(
+        diffusion=MatrixField(((a11 if a11 is not None else const(2, 1.0), const(2, 0.0)),
+                               (const(2, 0.0), const(2, 1.5)))),
+        drift=VectorField.constant(b), intensity=V if V is not None else const(2, 1.0),
+        redistribution=const(2, 0.5), boundary_data=PolyField.from_dict(2, {(1, 0): 1.0}),
+        vanishing_order=0)
+
+
+def _solver_case(case):
+    """(coeffs, grid, delta) of an operator; the ``separable-`` ones separate along axis 1."""
+    x = lambda c: PolyField.from_dict(2, {(0, 0): 1.0, (1, 0): c})
+    if case in ("separable-square", "separable-disk", "separable-annulus"):
+        name = {"square": "square-k0-uniform", "disk": "disk-k0-radial",
+                "annulus": "annulus-flux"}[case.split("-")[1]]
+        spec = preset(name)
+        return spec.coeffs, fdm.build_grid(spec.domain, 41, 32), 0.05
+    if case == "separable-annulus-radial-V":  # V differs in its last bit from angle to angle
+        spec = preset("annulus-flux")
+        V = PolyField.from_dict(2, {(0, 0): 1.0, (2, 0): 1.0, (0, 2): 1.0})
+        return (dataclasses.replace(spec.coeffs, intensity=V),
+                fdm.build_grid(spec.domain, 101, 64), 0.01)
+    if case == "separable-rectangle-V-of-x":  # a11, V and the drift vary along x only
+        return (_coeffs_2d(a11=x(0.5), V=x(1.0), b=(0.5, 0.0)),
+                fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 2.0), (21, 31)), 0.05)
+    if case == "rectangle-a12":
+        a12 = PolyField.from_dict(2, {(1, 1): 0.2})
+        coeffs = dataclasses.replace(_coeffs_2d(), diffusion=MatrixField(
+            ((const(2, 1.0), a12), (a12, const(2, 1.5)))))
+        return coeffs, fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 2.0), (21, 31)), 0.05
+    if case == "disk-V-of-x":  # V = 1 + 0.5x varies with theta
+        spec = preset("disk-k0-radial")
+        return (dataclasses.replace(spec.coeffs, intensity=x(0.5)),
+                fdm.build_grid(spec.domain, 41, 32), 0.05)
+    if case == "square-drift-y":  # drift along axis 1 makes its stencil unsymmetric
+        return (_coeffs_2d(b=(0.0, 0.7)),
+                fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 1.0), 41), 0.05)
+    spec = preset("interval-k0-asym")
+    return spec.coeffs, fdm.build_grid(spec.domain, 101), 0.05
+
+
+def _rank_one_problem(case, order="nested-dissection"):
+    coeffs, grid, delta = _solver_case(case)
+    if order == "sorted":
+        grid = dataclasses.replace(grid, interior=np.sort(grid.interior))
+    op = fdm.assemble_operator(delta, coeffs, grid)
+    fb = coeffs.boundary_data.eval(grid.points[grid.boundary])
+    return op, -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
+
+
+@pytest.mark.parametrize("order", ["nested-dissection", "sorted"])
+@pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-annulus",
+                                  "separable-annulus-radial-V", "separable-rectangle-V-of-x"])
+def test_separable_solver_matches_lu(case, order):
+    op, rhs = _rank_one_problem(case, order)
+    fast = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior, op.grid)
+    lu = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior)
+    assert isinstance(fast.local, fdm._SeparableSolver)
+    assert isinstance(lu.local, fdm._LocalSolver)
+    for x, ref in ((fast.local.solve(rhs), lu.local.solve(rhs)), (fast.solve(rhs), lu.solve(rhs))):
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["rectangle-a12", "disk-V-of-x", "square-drift-y", "interval"])
+def test_operators_that_do_not_separate_take_the_lu_path(case):
+    op, rhs = _rank_one_problem(case)
+    solver = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior, op.grid)
+    assert isinstance(solver.local, fdm._LocalSolver)
+    dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
+    assert np.max(np.abs(solver.solve(rhs) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_separable_solver_admits_last_bit_differences():
+    op, _ = _rank_one_problem("separable-annulus-radial-V")
+    i, j = np.unravel_index(op.grid.interior, op.grid.shape)
+    diag = np.zeros(op.grid.shape)
+    diag[i, j] = op.A_loc.diagonal()
+    diag = diag[1:-1]
+    spread = np.max(np.abs(diag - diag[:, :1]) / np.abs(diag[:, :1]))
+    assert 0 < spread <= fdm.SEPARABLE_RTOL
+    assert isinstance(fdm._local_solver(op.A_loc, op.grid), fdm._SeparableSolver)
+
+
+def test_singular_separable_factor_is_a_solver_error():
+    import scipy.sparse as sp
+    grid = fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 1.0), 6)
+    n = len(grid.interior)
+    with pytest.raises(SolverError, match="singular"):
+        fdm.RankOneSolver(sp.csc_matrix((n, n)), np.ones(n), np.ones(n), grid)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 32])
+def test_dst1_is_the_sine_transform(m):
+    x = np.random.default_rng(m).normal(size=(3, m))
+    k, l = np.meshgrid(np.arange(1, m + 1), np.arange(m), indexing="ij")
+    exact = x @ np.sin(math.pi * k * (l + 1) / (m + 1)).T
+    assert np.allclose(fdm._dst1(x), exact, rtol=0, atol=1e-13 * m)
+    assert np.allclose(fdm._dst1(fdm._dst1(x)) * 2 / (m + 1), x, rtol=0, atol=1e-13 * m)
+
+
 def _dense_principal_eigenvalue(op):
     M = op.A_loc.toarray() + np.outer(op.v, op.w_interior)
     eigs = np.linalg.eigvals(-M)

@@ -301,6 +301,32 @@ def test_mass_check_rejects_densities_off_by_1e_5(shape, scale):
         validate_coefficients(*vanishing_density_coeffs(shape, scale))
 
 
+def annulus_distance_power_coeffs(k, scale=1.0):
+    """dist(x)^k on the annulus 0.5 < r < 1 over its exact integral 2 pi m_k, times
+    ``scale``; dist has a kink at the mid radius r = 0.75."""
+    domain = Domain.annulus(0.0, 0.0, 0.5, 1.0)
+    m_k = {1: 0.046875, 2: 0.0078125}[k]  # int of r dist(r)^k dr over (0.5, 1)
+    mu = DistPowerField(domain, k, const(2, scale / (2 * math.pi * m_k)))
+    coeffs = CoefficientSet(
+        diffusion=MatrixField.identity(2), drift=VectorField.zero(2), intensity=const(2, 1.0),
+        redistribution=mu, boundary_data=PolyField.from_dict(2, {(1, 0): 1.0}),
+        vanishing_order=k)
+    return domain, coeffs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_mass_check_accepts_normalized_distance_powers_on_the_annulus(k):
+    rep = validate_coefficients(*annulus_distance_power_coeffs(k))
+    assert rep["redistribution_mass"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-5, 1 + 1e-5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_mass_check_rejects_distance_powers_on_the_annulus_off_by_1e_5(k, scale):
+    with pytest.raises(ValidationError, match="redistribution mass"):
+        validate_coefficients(*annulus_distance_power_coeffs(k, scale))
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_every_preset_validates(name):
     preset(name).validate()

@@ -537,6 +537,16 @@ def test_sim_config_rejects_bad_counts_and_seeds(field, value):
         mc.SimConfig(**args)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("delta", True), ("delta", "0.1"), ("dt", True), ("dt", "1e-3"), ("horizon", True),
+    ("horizon", "2.0"),
+])
+def test_sim_config_rejects_bools_and_strings_as_times(field, value):
+    args = {"delta": 0.1, "dt": 1e-3, "n_paths": 10} | {field: value}
+    with pytest.raises(ValidationError, match=field):
+        mc.SimConfig(**args)
+
+
 def test_sim_config_takes_numpy_integers():
     cfg = mc.SimConfig(delta=0.1, dt=1e-3, n_paths=np.int64(10), seed=np.uint32(3),
                        chunk_size=np.int32(4), horizon=1.0)
