@@ -46,8 +46,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     counts = dict.fromkeys(COUNTS, 0)
-    simulate, factor, eigen = mc.simulate_ensemble, fdm._factor, fdm.principal_eigenvalue
-    separable = fdm._SeparableSolver
+    simulate, eigen = mc.simulate_ensemble, fdm.principal_eigenvalue
+    local, separable = fdm._LocalSolver, fdm._SeparableSolver
 
     def counted_ensemble(coeffs, domain, cfg, *rest, **kwargs):
         ens = simulate(coeffs, domain, cfg, *rest, **kwargs)
@@ -60,16 +60,16 @@ def main(argv=None):
         counts["iterations"] += ens.iterations
         return ens
 
-    class CountedLU:
-        def __init__(self, lu):
-            self.lu, self.nnz = lu, lu.nnz
+    class CountedLU(local):
+        def __init__(self, A):
+            super().__init__(A)
             counts["factorizations"] += 1
-            counts["lu_nnz"] += lu.nnz
-            counts["lu_nnz_max"] = max(counts["lu_nnz_max"], lu.nnz)
+            counts["lu_nnz"] += self.lu.nnz
+            counts["lu_nnz_max"] = max(counts["lu_nnz_max"], self.lu.nnz)
 
         def solve(self, rhs):
             counts["solves"] += 1
-            return self.lu.solve(rhs)
+            return super().solve(rhs)
 
     class CountedSeparable(separable):
         def __init__(self, *args):
@@ -86,15 +86,14 @@ def main(argv=None):
         return res
 
     mc.simulate_ensemble = counted_ensemble
-    fdm._factor = lambda A: CountedLU(factor(A))
     fdm.principal_eigenvalue = counted_eigen
-    fdm._SeparableSolver = CountedSeparable
+    fdm._LocalSolver, fdm._SeparableSolver = CountedLU, CountedSeparable
     try:
         for op in workloads.WORKLOADS[args.workload](args.seed).ops():
             op.call()
     finally:
-        mc.simulate_ensemble, fdm._factor, fdm.principal_eigenvalue = simulate, factor, eigen
-        fdm._SeparableSolver = separable
+        mc.simulate_ensemble, fdm.principal_eigenvalue = simulate, eigen
+        fdm._LocalSolver, fdm._SeparableSolver = local, separable
     print(json.dumps({"workload": args.workload, "seed": args.seed, **counts}))
     return 0
 

@@ -26,7 +26,6 @@ from . import fdm, mc, theory
 from .errors import ValidationError
 from .fitting import PowerLawFit, fit_power_law, fit_slope
 from .presets import ProblemSpec
-from .reductions import dot
 from .geometry import Domain, Ring
 from .tables import write_csv
 
@@ -408,11 +407,10 @@ def compare_mc_fdm(spec: ProblemSpec, mc_config, workers=1) -> SweepResult:
 
 
 def discrete_no_jump_mass(spec: ProblemSpec, delta, grid_factor=0.03):
-    """The mu-weighted mass of the no-jump exit probability, on the grid."""
+    """The mu-weighted mass of the no-jump exit probability, on the grid: the
+    denominator of the operator's rank-one solve."""
     grid = _grid_for(spec, delta, grid_factor)
-    u = fdm.solve_no_jump_prob(delta, spec.coeffs, grid)
-    w = fdm.mu_quadrature_weights(spec.coeffs, grid)
-    return dot(w, u.values)
+    return fdm.RankOneSolver(fdm.assemble_operator(delta, spec.coeffs, grid)).denom
 
 
 def no_jump_mass_limit(spec: ProblemSpec):

@@ -11,8 +11,11 @@ for that model, axis by axis.
 The redistribution term is a rank-one coupling v w^T (the intensity column
 times the mu-quadrature row); Dirichlet solves and the inverse-power
 eigenvalue iteration reuse one set-up of a local solver for the local part
-A through a rank-one update identity.  There are two local solvers, and the
-structure of A picks one:
+A through a rank-one update identity.  The set-up solve is the no-jump
+probability u, and the identity's denominator is its mu-mass w . u: the
+rows of delta*G_h sum to zero, so A^{-1} v is u - 1 at the interior nodes.
+That mass is a sum of nonnegative terms and does not cancel as delta -> 0.
+There are two local solvers, and the structure of A picks one:
 
 - fast diagonalization (``_SeparableSolver``) where the grid is 2D, A couples
   only axis neighbours, and its stencil along axis 1 (y on a box, theta on a
@@ -384,21 +387,15 @@ def assemble_operator(delta, coeffs: CoefficientSet, grid: Grid,
     return DiscreteOperator(grid, float(delta), A_loc, B_bc, v, w)
 
 
-def _factor(A):
-    """Sparse LU of ``A`` with its columns in their given order: the order of
-    ``Grid.interior``, nested dissection in 2D (a bordered matrix adds its
-    border last)."""
-    try:
-        return spla.splu(A.tocsc(), permc_spec="NATURAL")
-    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-        raise SolverError(f"sparse LU failed: {err}") from err
-
-
 class _LocalSolver:
-    """One sparse LU factorization (``lu``) of the local part."""
+    """One sparse LU factorization (``lu``) of the local part, its columns in
+    their given order: the order of ``Grid.interior``, nested dissection in 2D."""
 
     def __init__(self, A):
-        self.lu = _factor(A)
+        try:
+            self.lu = spla.splu(A.tocsc(), permc_spec="NATURAL")
+        except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"sparse LU failed: {err}") from err
 
     def solve(self, rhs):
         return self.lu.solve(rhs)
@@ -502,40 +499,31 @@ class _SeparableSolver:
         return x.ravel()[self.pos]
 
 
-def _local_solver(A, grid=None):
-    """The fast-diagonalization solver of ``A`` where ``grid`` is 2D and A
-    separates along its axis 1, else the sparse LU one."""
-    return (grid is not None and _SeparableSolver.of(A, grid)) or _LocalSolver(A)
-
-
 class RankOneSolver:
-    """Solves (A + v w^T) x = rhs, reusing one factorization of A.
+    """Solves (A + v w^T) x = rhs for a ``DiscreteOperator``, reusing one set-up
+    of a local solver for its local part A.
 
-    Two solves with A per right-hand side; when the rank-one denominator
-    1 + w^T A^{-1} v degenerates, falls back to a bordered sparse solve of
-    [[A, v], [w^T, -1]].  Given the ``grid`` of A, the local solves use fast
-    diagonalization where A separates (``_SeparableSolver``).
+    The set-up solve is the no-jump probability: q = A^{-1}(-B 1) at the
+    interior nodes, B = B_bc, and u = q with 1 on the boundary (``no_jump``).
+    The rows of delta*G_h sum to zero, so A 1 + B 1 = -v and A^{-1} v = q - 1
+    = z.  The Sherman-Morrison denominator 1 + w_int . z is then w . u, the
+    mu-mass of the no-jump probability (w sums to 1): a sum of nonnegative
+    terms, kept positive by the discrete maximum principle (u > 0), with no
+    cancellation however small it gets.  One more local solve per right-hand
+    side.
     """
 
-    DENOM_TOL = 1e-12
-
-    def __init__(self, A, v, w, grid=None):
-        self.local = _local_solver(A, grid)
-        self.v = np.asarray(v, dtype=float)
-        self.w = np.asarray(w, dtype=float)
-        self.z = self.local.solve(self.v)
-        self.denom = 1.0 + dot(self.w, self.z)
-        self.bordered = None
-        if abs(self.denom) < self.DENOM_TOL:
-            B = sp.bmat([[A, sp.csc_matrix(self.v.reshape(-1, 1))],
-                         [sp.csc_matrix(self.w.reshape(1, -1)), sp.csc_matrix([[-1.0]])]],
-                        format="csc")
-            self.bordered = _factor(B)
+    def __init__(self, op: DiscreteOperator):
+        self.local = _SeparableSolver.of(op.A_loc, op.grid) or _LocalSolver(op.A_loc)
+        q = self.local.solve(-(op.B_bc @ np.ones(len(op.grid.boundary))))
+        if not np.all(np.isfinite(q)):
+            raise SolverError("singular or ill-conditioned local solve")
+        self.no_jump = _on_grid(op.grid, q, 1.0)
+        self.w = op.w_interior
+        self.z = q - 1.0
+        self.denom = dot(op.w_all, self.no_jump.values)
 
     def solve(self, rhs):
-        if self.bordered is not None:
-            sol = self.bordered.solve(np.concatenate([rhs, [0.0]]))
-            return sol[:-1]
         y = self.local.solve(rhs)
         return y - self.z * (dot(self.w, y) / self.denom)
 
@@ -577,11 +565,7 @@ def solve_no_jump_prob(delta, coeffs: CoefficientSet, grid: Grid) -> GridFunctio
     Solves delta*G u = V u in the domain with u = 1 on the boundary; the
     discrete maximum principle keeps interior values in (0, 1].
     """
-    A_loc, B_bc = assemble_local(delta, coeffs, grid)
-    ui = _local_solver(A_loc, grid).solve(-(B_bc @ np.ones(len(grid.boundary))))
-    if not np.all(np.isfinite(ui)):
-        raise SolverError("singular or ill-conditioned local solve")
-    return _on_grid(grid, ui, 1.0)
+    return RankOneSolver(assemble_operator(delta, coeffs, grid)).no_jump
 
 
 def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None,
@@ -595,7 +579,7 @@ def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None,
     f = coeffs.boundary_data if f is None else f
     fb = f.eval(grid.points[grid.boundary])
     rhs = -(op.B_bc @ fb) - op.v * dot(op.w_boundary, fb)
-    return _on_grid(grid, RankOneSolver(op.A_loc, op.v, op.w_interior, grid).solve(rhs), fb)
+    return _on_grid(grid, RankOneSolver(op).solve(rhs), fb)
 
 
 @dataclass(frozen=True)
@@ -618,7 +602,7 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid) -> EigenResu
     that raise SolverError.
     """
     op = assemble_operator(delta, coeffs, grid)
-    solver = RankOneSolver(op.A_loc, op.v, op.w_interior, grid)
+    solver = RankOneSolver(op)
     apply_negM = lambda psi: -(op.A_loc @ psi + op.v * dot(op.w_interior, psi))
 
     psi = np.full(len(grid.interior), 1.0 / math.sqrt(len(grid.interior)))

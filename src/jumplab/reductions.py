@@ -7,12 +7,13 @@ saves no time.  ``dot`` sums the elementwise product with ``np.add.reduce``
 (pairwise summation), so it never wakes the BLAS thread pool, and no thread
 count has to be pinned.  Every dense vector reduction goes through it:
 
-- ``fdm``: the rank-one solve, the norms and Rayleigh quotient of inverse
-  iteration, and the boundary term of the exit functional;
+- ``fdm``: the rank-one solve and its denominator (the no-jump mass that
+  ``experiments.discrete_no_jump_mass`` reads), the norms and Rayleigh
+  quotient of inverse iteration, and the boundary term of the exit
+  functional;
 - ``theory``: the limit density's mass, the limit exit functional and the
   mu/V integral of the decay-rate prefactor;
 - ``fields.validate_coefficients``: the redistribution mass check;
-- ``experiments.discrete_no_jump_mass``;
 - ``fitting.fit_slope``, the closed-form least-squares line behind
   ``fit_power_law`` and ``mc.fit_survival_rate``.
 """

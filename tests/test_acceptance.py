@@ -216,7 +216,7 @@ def test_criterion_12_rank_one_solver_equivalence():
     op = fdm.assemble_operator(2e-3, spec.coeffs, grid, allow_coarse=True)
     fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary])
     rhs = -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
-    fast = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior).solve(rhs)
+    fast = fdm.RankOneSolver(op).solve(rhs)
     dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
     diff = float(np.max(np.abs(fast - dense)))
     ok = diff <= 1e-10

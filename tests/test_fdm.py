@@ -146,30 +146,57 @@ def test_rank_one_solver_matches_dense():
     op = fdm.assemble_operator(2e-3, spec.coeffs, grid, allow_coarse=True)
     fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary])
     rhs = -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
-    solver = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior)
+    solver = fdm.RankOneSolver(op)
     x_fast = solver.solve(rhs)
     dense = op.A_loc.toarray() + np.outer(op.v, op.w_interior)
     x_dense = np.linalg.solve(dense, rhs)
     assert np.max(np.abs(x_fast - x_dense)) <= 1e-10
 
 
-def test_rank_one_bordered_fallback():
-    import scipy.sparse as sp
-    A = sp.csc_matrix(np.diag([1.0, 1.0]))
-    v = np.array([1.0, 0.0])
-    w = np.array([-1.0 + 1e-13, 0.0])
-    solver = fdm.RankOneSolver(A, v, w)
-    assert solver.bordered is not None
-    rhs = np.array([3e-13, 2.0])
+def _thomas_sherman_morrison(op, rhs):
+    """(A + v w^T)^{-1} rhs and 1 + w . A^{-1} v for a tridiagonal A, in long double."""
+    A, ld = op.A_loc.tocsr(), np.longdouble
+    lower = np.concatenate([[0], A.diagonal(-1)]).astype(ld)
+    diag, upper = A.diagonal().astype(ld), np.append(A.diagonal(1), 0).astype(ld)
+    b = np.stack([np.asarray(op.v, ld), np.asarray(rhs, ld)], axis=1)
+    n = len(diag)
+    for i in range(1, n):
+        m = lower[i] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        b[i] -= m * b[i - 1]
+    x = np.empty_like(b)
+    x[-1] = b[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (b[i] - upper[i] * x[i + 1]) / diag[i]
+    z, y = x.T
+    w = np.asarray(op.w_interior, ld)
+    denom = 1 + np.sum(w * z)
+    return y - z * (np.sum(w * y) / denom), denom
+
+
+def test_rank_one_solve_is_exact_at_a_tiny_denominator():
+    """At k = 2, delta = 1e-5 the no-jump mass 1 + w . A^{-1} v is about 1e-6:
+    the rank-one solve and its denominator stay within 1e-10 of a long-double
+    reference on the same float64 matrices, where 1 + w . A^{-1} v summed in
+    float64 misses by more than 1e-9."""
+    spec = preset("interval-k2-quartic")
+    grid = fdm.build_grid(spec.domain, 2001)
+    op = fdm.assemble_operator(1e-5, spec.coeffs, grid)
+    fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary])
+    rhs = -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
+    solver = fdm.RankOneSolver(op)
+    assert isinstance(solver.local, fdm._LocalSolver)
+    x_ref, denom_ref = _thomas_sherman_morrison(op, rhs)
+    assert denom_ref < 1e-5
+    assert float(abs(solver.denom - denom_ref) / denom_ref) <= 1e-10
     x = solver.solve(rhs)
-    dense = np.linalg.solve(A.toarray() + np.outer(v, w), rhs)
-    assert np.allclose(x, dense, rtol=1e-3)
+    assert float(np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref))) <= 1e-10
 
 
 def test_singular_factor_is_a_solver_error():
     import scipy.sparse as sp
     with pytest.raises(SolverError, match="singular"):
-        fdm.RankOneSolver(sp.csc_matrix((2, 2)), np.ones(2), np.ones(2))
+        fdm._LocalSolver(sp.csc_matrix((2, 2)))
 
 
 @pytest.mark.parametrize("name,n,n_angular", [
@@ -178,11 +205,11 @@ def test_lu_ordering_cuts_fill(name, n, n_angular):
     spec = preset(name)
     grid = fdm.build_grid(spec.domain, n, n_angular)
     op = fdm.assemble_operator(1e-2, spec.coeffs, grid, allow_coarse=True)
-    solver = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior)
+    local = fdm._LocalSolver(op.A_loc)
     colamd = scipy.sparse.linalg.splu(op.A_loc, permc_spec="COLAMD")
-    assert solver.local.lu.nnz <= 0.75 * colamd.nnz
+    assert local.lu.nnz <= 0.75 * colamd.nnz
     rhs = -(op.B_bc @ spec.coeffs.boundary_data.eval(grid.points[grid.boundary]))
-    x = solver.local.solve(rhs)
+    x = local.solve(rhs)
     x_colamd = colamd.solve(rhs)
     assert np.max(np.abs(x - x_colamd)) <= 1e-12 * np.max(np.abs(x_colamd))
 
@@ -325,21 +352,42 @@ def _rank_one_problem(case, order="nested-dissection"):
                                   "separable-annulus-radial-V", "separable-rectangle-V-of-x"])
 def test_separable_solver_matches_lu(case, order):
     op, rhs = _rank_one_problem(case, order)
-    fast = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior, op.grid)
-    lu = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior)
+    fast = fdm.RankOneSolver(op)
+    lu = fdm._LocalSolver(op.A_loc)
     assert isinstance(fast.local, fdm._SeparableSolver)
-    assert isinstance(lu.local, fdm._LocalSolver)
-    for x, ref in ((fast.local.solve(rhs), lu.local.solve(rhs)), (fast.solve(rhs), lu.solve(rhs))):
+    dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
+    for x, ref in ((fast.local.solve(rhs), lu.solve(rhs)), (fast.solve(rhs), dense)):
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("case", ["rectangle-a12", "disk-V-of-x", "square-drift-y", "interval"])
 def test_operators_that_do_not_separate_take_the_lu_path(case):
     op, rhs = _rank_one_problem(case)
-    solver = fdm.RankOneSolver(op.A_loc, op.v, op.w_interior, op.grid)
+    solver = fdm.RankOneSolver(op)
     assert isinstance(solver.local, fdm._LocalSolver)
     dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
     assert np.max(np.abs(solver.solve(rhs) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-annulus",
+                                  "separable-annulus-radial-V", "separable-rectangle-V-of-x",
+                                  "rectangle-a12", "disk-V-of-x", "square-drift-y", "interval"])
+def test_local_rows_and_intensity_sum_to_zero(case):
+    """A_loc 1 + B_bc 1 = -v: the rows of delta*G_h sum to zero, which makes the
+    rank-one denominator the no-jump mass.  The gate sees a 1e-12 change in
+    one diagonal entry."""
+    op, _ = _rank_one_problem(case)
+    ones = np.ones(len(op.grid.boundary))
+    gate = 8 * np.finfo(float).eps * np.max(np.abs(op.A_loc.diagonal()))
+
+    def residual(A):
+        return np.max(np.abs(A @ np.ones(A.shape[1]) + op.B_bc @ ones + op.v))
+
+    assert residual(op.A_loc) <= gate
+    perturbed = op.A_loc.copy()
+    k = np.argmax(np.abs(perturbed.diagonal()))
+    perturbed[k, k] *= 1 + 1e-12
+    assert residual(perturbed) > gate
 
 
 def test_separable_solver_admits_last_bit_differences():
@@ -350,7 +398,7 @@ def test_separable_solver_admits_last_bit_differences():
     diag = diag[1:-1]
     spread = np.max(np.abs(diag - diag[:, :1]) / np.abs(diag[:, :1]))
     assert 0 < spread <= fdm.SEPARABLE_RTOL
-    assert isinstance(fdm._local_solver(op.A_loc, op.grid), fdm._SeparableSolver)
+    assert isinstance(fdm._SeparableSolver.of(op.A_loc, op.grid), fdm._SeparableSolver)
 
 
 def test_singular_separable_factor_is_a_solver_error():
@@ -358,7 +406,7 @@ def test_singular_separable_factor_is_a_solver_error():
     grid = fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 1.0), 6)
     n = len(grid.interior)
     with pytest.raises(SolverError, match="singular"):
-        fdm.RankOneSolver(sp.csc_matrix((n, n)), np.ones(n), np.ones(n), grid)
+        fdm._SeparableSolver.of(sp.csc_matrix((n, n)), grid)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 32])
