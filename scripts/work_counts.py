@@ -12,7 +12,8 @@ report), ``lockstep_span`` (per chunk, the nominal steps of its longest path),
 and the engine's own ``lane_steps`` (blocks simulated) and ``iterations``
 (lockstep iterations).
 
-Finite differences: ``factorizations`` (sparse LUs, every one of them, the
+Finite differences: ``assemblies`` (calls of ``fdm.assemble_operator``, one
+per public solve), ``factorizations`` (sparse LUs, every one of them, the
 local factor of ``solve_no_jump_prob`` included), ``lu_nnz`` (their L+U
 nonzeros summed), ``lu_nnz_max`` (the L+U nonzeros of the largest single
 factor), ``fast_setups`` (fast-diagonalization solvers set up in place of a
@@ -35,7 +36,7 @@ from jumplab import fdm, mc  # noqa: E402
 import workloads  # noqa: E402
 
 COUNTS = ["paths", "nominal_steps", "lockstep_span", "lane_steps", "iterations",
-          "factorizations", "lu_nnz", "lu_nnz_max", "fast_setups", "solves",
+          "assemblies", "factorizations", "lu_nnz", "lu_nnz_max", "fast_setups", "solves",
           "eigen_iterations"]
 
 
@@ -47,6 +48,7 @@ def main(argv=None):
 
     counts = dict.fromkeys(COUNTS, 0)
     simulate, eigen = mc.simulate_ensemble, fdm.principal_eigenvalue
+    assemble = fdm.assemble_operator
     local, separable = fdm._LocalSolver, fdm._SeparableSolver
 
     def counted_ensemble(coeffs, domain, cfg, *rest, **kwargs):
@@ -80,19 +82,24 @@ def main(argv=None):
             counts["solves"] += 1
             return super().solve(rhs)
 
+    def counted_assemble(*args, **kwargs):
+        counts["assemblies"] += 1
+        return assemble(*args, **kwargs)
+
     def counted_eigen(*args, **kwargs):
         res = eigen(*args, **kwargs)
         counts["eigen_iterations"] += res.iterations
         return res
 
     mc.simulate_ensemble = counted_ensemble
-    fdm.principal_eigenvalue = counted_eigen
+    fdm.principal_eigenvalue, fdm.assemble_operator = counted_eigen, counted_assemble
     fdm._LocalSolver, fdm._SeparableSolver = CountedLU, CountedSeparable
     try:
         for op in workloads.WORKLOADS[args.workload](args.seed).ops():
             op.call()
     finally:
         mc.simulate_ensemble, fdm.principal_eigenvalue = simulate, eigen
+        fdm.assemble_operator = assemble
         fdm._LocalSolver, fdm._SeparableSolver = local, separable
     print(json.dumps({"workload": args.workload, "seed": args.seed, **counts}))
     return 0

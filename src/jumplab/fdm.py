@@ -6,7 +6,9 @@ in grid coordinates (cartesian for the box family: interval, rectangle;
 the axis ends that carry Dirichlet data, and the map to cartesian points; a
 non-periodic end without Dirichlet data is reflecting (the excised core ring
 of a disk).  Assembly, interpolation and the boundary flux are written once
-for that model, axis by axis.
+for that model, axis by axis.  The local part A = delta*G_h - diag(V) has one
+record, its stencil {offset: coefficients at the interior nodes}: the sparse
+A_loc and B_bc and the choice of local solver are read from it.
 
 The redistribution term is a rank-one coupling v w^T (the intensity column
 times the mu-quadrature row); Dirichlet solves and the inverse-power
@@ -15,14 +17,14 @@ A through a rank-one update identity.  The set-up solve is the no-jump
 probability u, and the identity's denominator is its mu-mass w . u: the
 rows of delta*G_h sum to zero, so A^{-1} v is u - 1 at the interior nodes.
 That mass is a sum of nonnegative terms and does not cancel as delta -> 0.
-There are two local solvers, and the structure of A picks one:
+There are two local solvers, and the stencil picks one:
 
-- fast diagonalization (``_SeparableSolver``) where the grid is 2D, A couples
-  only axis neighbours, and its stencil along axis 1 (y on a box, theta on a
-  polar grid) is symmetric and the same at every index along that axis, as
-  with constant coefficients or ones that vary with x or r only.  A is then
-  a Kronecker sum; a solve is a sine or Fourier transform along axis 1 and
-  one tridiagonal solve per mode.  No sparse factor is formed.
+- fast diagonalization (``_SeparableSolver``) where the grid is 2D, the
+  stencil holds only the node and its axis neighbours, and along axis 1 (y
+  on a box, theta on a polar grid) it is symmetric and the same at every
+  index, as with constant coefficients or ones that vary with x or r only.
+  A is then a Kronecker sum; a solve is a sine or Fourier transform along
+  axis 1 and one tridiagonal solve per mode.  No sparse factor is formed.
 - one sparse LU factorization for every other operator: all 1D grids, cross
   terms a12, coefficients that vary along axis 1, and drift along it.  Its
   columns keep the order of the unknowns: ``build_grid`` lists a 2D interior
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -190,19 +193,32 @@ def _dissection_order(width, rows, cols, periodic):
     return order
 
 
+def _require_memory(shape):
+    """Raise ValidationError where the node arrays of a grid of ``shape`` (grid
+    and cartesian coordinates, cell weights, ids) would not fit in memory."""
+    nodes = math.prod(shape)
+    need = 8 * nodes * (2 * len(shape) + 2)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValidationError(f"a grid of {nodes:,} nodes needs {need / 2**30:,.1f} GiB for its "
+                              f"node arrays, more than the {have / 2**30:,.1f} GiB of physical memory")
+
+
 def build_grid(domain: Domain, n, n_angular=64) -> Grid:
     """Tensor grid with ``n`` nodes per principal axis.
 
     Box grids take ``n`` or a per-axis tuple.  Polar grids take ``n`` radial
     and ``n_angular`` angular nodes; the disk excises a small core whose ring
     is closed by a reflecting face.  A 2D interior is listed in
-    nested-dissection order, a 1D one sorted.
+    nested-dissection order, a 1D one sorted.  Too few nodes, or node arrays
+    larger than the physical memory, raise ValidationError.
     """
     if isinstance(domain, Box):
         d = domain.dim
         shape = tuple(int(m) for m in n) if isinstance(n, (tuple, list)) else (int(n),) * d
         if len(shape) != d or min(shape) < 3:
             raise ValidationError(f"need at least 3 nodes on each of {d} axes, got {shape}")
+        _require_memory(shape)
         axes = tuple(np.linspace(a, b, m) for a, b, m in zip(domain.lo, domain.hi, shape))
         family, periodic, coords = "box", (False,) * d, _Cartesian()
         dirichlet = ((0, -1),) * d
@@ -214,6 +230,7 @@ def build_grid(domain: Domain, n, n_angular=64) -> Grid:
         shape = (int(n), int(n_angular))
         if shape[0] < 3 or shape[1] < 8:
             raise ValidationError(f"polar grids need nr >= 3 and n_angular >= 8, got {shape}")
+        _require_memory(shape)
         r = np.linspace(ri, ro, shape[0])
         axes = (r, 2 * math.pi * np.arange(shape[1]) / shape[1])
         family, periodic, coords = "polar", (False, True), _Polar(*domain.origin)
@@ -288,28 +305,27 @@ def _check_layer_resolution(delta, coeffs, grid, allow_coarse):
             raise ValidationError(msg)
 
 
-def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False):
-    """The sparse local operator delta*G_h - diag(V) over interior nodes.
+def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
+    """delta*G_h - diag(V) as {offset: coefficients at the interior nodes}, an
+    offset counting the steps along each grid axis, (0, ..., 0) the node itself.
 
-    Returns (A_loc, B_bc): interior-to-interior matrix and the coupling of
-    boundary values into interior rows.  Per grid axis k: a flux-form second
-    order stencil with a_kk at the face centres times the metric weight
-    J_face / (J h_k,face^2), J the product of the scale factors h (1 on
-    cartesian axes, r_face/r radial, 1/r^2 angular), and a centred drift
-    b . e_k / h_k.  A reflecting axis end closes its face and takes a
-    one-sided drift difference.
+    Per grid axis k: a flux-form second order stencil with a_kk at the face
+    centres times the metric weight J_face / (J h_k,face^2), J the product of
+    the scale factors h (1 on cartesian axes, r_face/r radial, 1/r^2 angular),
+    and a centred drift b . e_k / h_k.  A reflecting axis end closes its face
+    and takes a one-sided drift difference, the closed side's on the node.
     """
     _check_layer_resolution(delta, coeffs, grid, allow_coarse)
     if grid.family == "polar" and not coeffs.diffusion.is_isotropic():
         raise ValidationError("polar grids support isotropic diffusion only")
     d = len(grid.shape)
     me = grid.interior
-    index, xi = np.unravel_index(me, grid.shape), grid.coordinates[me]
-    pts = grid.coords.to_cartesian(xi)
+    index, xi, pts = np.unravel_index(me, grid.shape), grid.coordinates[me], grid.points[me]
     scale = grid.coords.scales(xi)
     jac = math.prod(scale.T)
-    diag = -coeffs.intensity.eval(pts)
-    entries = []  # (rows, columns, values) next to the diagonal
+    centre = (0,) * d
+    along = lambda k, s: tuple(s * (axis == k) for axis in range(d))
+    stencil = {centre: -coeffs.intensity.eval(pts)}
     if d == 2 and (a12 := coeffs.diffusion.entry(0, 1)).constant_value() != 0.0:
         # box grids only (polar diffusion is isotropic): symmetric a12 cross terms
         # via centered difference of centered differences
@@ -318,13 +334,13 @@ def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False
         a = {pq: a12.eval(grid.points[at(*pq)]) for pq in ((1, 0), (-1, 0), (0, 1), (0, -1))}
         for p in (1, -1):
             for q in (1, -1):
-                entries.append((me, at(p, q), c * p * q * (a[p, 0] + a[0, q])))
+                stencil[p, q] = c * p * q * (a[p, 0] + a[0, q])
 
     bvals = np.stack([c.eval(pts) for c in coeffs.drift.components], axis=1)
     drift = (np.einsum("...kj,...j->...k", grid.coords.units(xi), bvals) / scale
              if np.any(bvals) else None)
+    one_sided = 0.0  # joins the node's own coefficient after the faces of every axis
     for k, (h, n) in enumerate(zip(grid.spacing, grid.shape)):
-        step = lambda shift: grid.step(me, index[k], k, shift)
         # +1 (-1) at an interior node on a reflecting low (high) end of axis k
         wall = 0 if grid.periodic[k] or len(grid.dirichlet[k]) == 2 \
             else (index[k] == 0).astype(int) - (index[k] == n - 1)
@@ -335,17 +351,33 @@ def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False
             face_scale = grid.coords.scales(face)
             weight = math.prod(face_scale.T) / (jac * face_scale[:, k] ** 2) * (wall != -s)
             c = delta * 0.5 * a_kk.eval(grid.coords.to_cartesian(face)) * weight / h**2
-            entries.append((me, step(s), c))
-            diag -= c
+            stencil[along(k, s)] = c
+            stencil[centre] -= c
         if drift is not None:  # centred; one-sided into the domain at a reflecting end
-            ahead, behind = 1 * (wall >= 0), -1 * (wall <= 0)
-            c = delta * drift[:, k] / ((ahead - behind) * h)
-            entries += [(me, step(ahead), c), (me, step(behind), -c)]
+            c = delta * drift[:, k] / ((2 - np.abs(wall)) * h)
+            for s in (1, -1):
+                stencil[along(k, s)] += s * c * (wall != -s)
+                one_sided = one_sided + s * c * (wall == -s)
+    stencil[centre] += one_sided
+    return stencil
 
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries, (me, me, diag)))
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr()
-    Mi = M[grid.interior].tocsc()
-    return Mi[:, grid.interior].tocsc(), Mi[:, grid.boundary].tocsr()
+
+def _matrices(stencil, grid: Grid):
+    """(A_loc, B_bc) of a stencil: the interior and the boundary columns of its rows."""
+    n, index = len(grid.interior), np.unravel_index(grid.interior, grid.shape)
+    cols = [grid.interior] * len(stencil)  # each offset's neighbours, one axis at a time
+    for k in range(len(grid.shape)):
+        cols = [grid.step(ids, index[k], k, offset[k]) for ids, offset in zip(cols, stencil)]
+    M = sp.csr_matrix((np.concatenate(list(stencil.values())),
+                       (np.tile(np.arange(n), len(stencil)), np.concatenate(cols))),
+                      shape=(n, grid.n_nodes)).tocsc()
+    return M[:, grid.interior].tocsc(), M[:, grid.boundary].tocsr()
+
+
+def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False):
+    """(A_loc, B_bc): the local operator delta*G_h - diag(V) (``_stencil``) from
+    interior to interior nodes, and the coupling of boundary values into them."""
+    return _matrices(_stencil(delta, coeffs, grid, allow_coarse), grid)
 
 
 def mu_quadrature_weights(coeffs: CoefficientSet, grid: Grid):
@@ -367,6 +399,7 @@ class DiscreteOperator:
     B_bc: sp.csr_matrix    # interior x boundary
     v: np.ndarray          # intensity at interior nodes
     w_all: np.ndarray      # mu weights over all nodes, sum 1
+    stencil: dict          # A_loc and B_bc as {offset: coefficients at the interior nodes}
 
     @property
     def w_interior(self):
@@ -379,12 +412,12 @@ class DiscreteOperator:
 
 def assemble_operator(delta, coeffs: CoefficientSet, grid: Grid,
                       allow_coarse=False) -> DiscreteOperator:
-    A_loc, B_bc = assemble_local(delta, coeffs, grid, allow_coarse=allow_coarse)
+    stencil = _stencil(delta, coeffs, grid, allow_coarse)
     v = coeffs.intensity.eval(grid.points[grid.interior])
     w = mu_quadrature_weights(coeffs, grid)
     if abs(w.sum() - 1.0) > 1e-8:
         raise ValidationError("discrete mu weights do not sum to 1")
-    return DiscreteOperator(grid, float(delta), A_loc, B_bc, v, w)
+    return DiscreteOperator(grid, float(delta), *_matrices(stencil, grid), v, w, stencil)
 
 
 class _LocalSolver:
@@ -446,38 +479,20 @@ class _SeparableSolver:
             raise SolverError("fast-diagonalization factor is exactly singular")
 
     @classmethod
-    def of(cls, A, grid):
-        """The solver of ``A`` on ``grid``, or None where A does not separate so."""
-        if len(grid.shape) != 2 or not (grid.periodic[1] or len(grid.dirichlet[1]) == 2):
+    def of(cls, op: DiscreteOperator):
+        """The solver read from ``op``'s stencil, or None where the stencil does not separate."""
+        grid, offsets = op.grid, ((-1, 0), (0, 0), (1, 0), (0, 1), (0, -1))
+        if (len(grid.shape) != 2 or not (grid.periodic[1] or len(grid.dirichlet[1]) == 2)
+                or set(op.stencil) != set(offsets)):
             return None
         i, j = (ax - ax.min() for ax in np.unravel_index(grid.interior, grid.shape))
         m0, m1 = int(i.max()) + 1, int(j.max()) + 1
-        A = sp.csc_matrix(A)
-        A.sum_duplicates()
-        A = A.tocoo()
-        i, j = i.astype(np.int32), j.astype(np.int32)  # halves the gathers below
-        i_row, j_row = i[A.row], j[A.row]
-        di, dj = i[A.col] - i_row, j[A.col] - j_row
-        if grid.periodic[1]:
-            dj = (dj + 1) % m1 - 1
-        if len(i) != m0 * m1 or np.any(np.abs(di) + np.abs(dj) > 1):
+        block = np.empty((len(offsets), m0, m1))  # each offset's coefficients at (i, j)
+        block[:, i, j] = [op.stencil[o] for o in offsets]
+        close = lambda a, b: np.all(np.abs(a - b) <= SEPARABLE_RTOL * np.abs(b))
+        lower, middle, upper, c, c_behind = block[..., 0]
+        if not (close(block, block[..., :1]) and close(c_behind, c)):
             return None
-        stencil = np.zeros((9, m0 * m1))  # [3 (di + 1) + dj + 1] at the row's (i, j)
-        stencil[3 * di + dj + 4, i_row * m1 + j_row] = A.data
-        stencil = stencil.reshape(3, 3, m0, m1)
-        c = stencil[1, 2, :, 0]
-        along = np.zeros((2, m0, m1))  # the +1 and -1 coefficients along j, c(i)
-        along[:] = c[:, None]
-        if not grid.periodic[1]:  # no neighbour past the Dirichlet ends
-            along[0, :, -1] = along[1, :, 0] = 0.0
-        across = stencil[(0, 1, 2), (1, 1, 1), :, :1]  # i - 1, i, i + 1 at j = 0
-
-        def close(actual, expected):
-            return np.all(np.abs(actual - expected) <= SEPARABLE_RTOL * np.abs(expected))
-
-        if not (close(stencil[1, (2, 0)], along) and close(stencil[:, 1], across)):
-            return None
-        lower, middle, upper = across[..., 0]
         return cls(i * m1 + j, (m0, m1), grid.periodic[1], lower, middle + 2 * c, upper, c)
 
     def solve(self, rhs):
@@ -514,7 +529,7 @@ class RankOneSolver:
     """
 
     def __init__(self, op: DiscreteOperator):
-        self.local = _SeparableSolver.of(op.A_loc, op.grid) or _LocalSolver(op.A_loc)
+        self.local = _SeparableSolver.of(op) or _LocalSolver(op.A_loc)
         q = self.local.solve(-(op.B_bc @ np.ones(len(op.grid.boundary))))
         if not np.all(np.isfinite(q)):
             raise SolverError("singular or ill-conditioned local solve")

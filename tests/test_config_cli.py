@@ -308,6 +308,13 @@ def test_cli_too_few_grid_nodes_is_an_error_line(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_grid_too_large_for_memory_is_an_error_line(tmp_path, capsys):
+    # the square at 400,001 nodes per axis would ask for 2.3 TiB of grid coordinates
+    argv = ["eigen", "--preset", "square-k0-uniform", "--delta", "1e-9", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 EIGEN = ["eigen", "--preset", "interval-k0-uniform"]
 
 

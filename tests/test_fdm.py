@@ -331,6 +331,10 @@ def _solver_case(case):
         spec = preset("disk-k0-radial")
         return (dataclasses.replace(spec.coeffs, intensity=x(0.5)),
                 fdm.build_grid(spec.domain, 41, 32), 0.05)
+    if case == "disk-drift":  # a cartesian drift: one-sided at the reflecting core ring
+        spec = preset("disk-k0-radial")
+        return (dataclasses.replace(spec.coeffs, drift=VectorField.constant((0.3, -0.2))),
+                fdm.build_grid(spec.domain, 41, 32), 0.05)
     if case == "square-drift-y":  # drift along axis 1 makes its stencil unsymmetric
         return (_coeffs_2d(b=(0.0, 0.7)),
                 fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 1.0), 41), 0.05)
@@ -360,7 +364,8 @@ def test_separable_solver_matches_lu(case, order):
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("case", ["rectangle-a12", "disk-V-of-x", "square-drift-y", "interval"])
+@pytest.mark.parametrize("case", ["rectangle-a12", "disk-V-of-x", "square-drift-y", "disk-drift",
+                                  "interval"])
 def test_operators_that_do_not_separate_take_the_lu_path(case):
     op, rhs = _rank_one_problem(case)
     solver = fdm.RankOneSolver(op)
@@ -371,7 +376,8 @@ def test_operators_that_do_not_separate_take_the_lu_path(case):
 
 @pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-annulus",
                                   "separable-annulus-radial-V", "separable-rectangle-V-of-x",
-                                  "rectangle-a12", "disk-V-of-x", "square-drift-y", "interval"])
+                                  "rectangle-a12", "disk-V-of-x", "square-drift-y", "disk-drift",
+                                  "interval"])
 def test_local_rows_and_intensity_sum_to_zero(case):
     """A_loc 1 + B_bc 1 = -v: the rows of delta*G_h sum to zero, which makes the
     rank-one denominator the no-jump mass.  The gate sees a 1e-12 change in
@@ -394,19 +400,20 @@ def test_separable_solver_admits_last_bit_differences():
     op, _ = _rank_one_problem("separable-annulus-radial-V")
     i, j = np.unravel_index(op.grid.interior, op.grid.shape)
     diag = np.zeros(op.grid.shape)
-    diag[i, j] = op.A_loc.diagonal()
+    diag[i, j] = op.stencil[0, 0]
     diag = diag[1:-1]
     spread = np.max(np.abs(diag - diag[:, :1]) / np.abs(diag[:, :1]))
     assert 0 < spread <= fdm.SEPARABLE_RTOL
-    assert isinstance(fdm._SeparableSolver.of(op.A_loc, op.grid), fdm._SeparableSolver)
+    assert isinstance(fdm._SeparableSolver.of(op), fdm._SeparableSolver)
 
 
 def test_singular_separable_factor_is_a_solver_error():
-    import scipy.sparse as sp
     grid = fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 1.0), 6)
-    n = len(grid.interior)
+    op = fdm.assemble_operator(1.0, preset("square-k0-uniform").coeffs, grid)
+    axis_offsets = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+    zero = dataclasses.replace(op, stencil={o: np.zeros(len(grid.interior)) for o in axis_offsets})
     with pytest.raises(SolverError, match="singular"):
-        fdm._SeparableSolver.of(sp.csc_matrix((n, n)), grid)
+        fdm._SeparableSolver.of(zero)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 32])
@@ -608,6 +615,18 @@ def test_interior_decay_slope_constant_coefficients():
         vals.append(u.at(np.array([0.5])))
     slope = (math.log(vals[1]) - math.log(vals[0])) / (deltas[1] ** -0.5 - deltas[0] ** -0.5)
     assert slope == pytest.approx(-1 / math.sqrt(2), rel=0.05)
+
+
+def test_grid_too_large_for_memory_is_a_validation_error():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="160,000,800,001 nodes"):
+            fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 1.0), 400_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 400,001 nodes of one axis alone would take 3.2 MB
 
 
 def test_polar_grid_zero_angular_nodes_is_too_few():
