@@ -13,16 +13,18 @@ and the engine's own ``lane_steps`` (blocks simulated) and ``iterations``
 (lockstep iterations).
 
 Finite differences: ``assemblies`` (calls of ``fdm.assemble_operator``, one
-per public solve), ``factorizations`` (sparse LUs, every one of them, the
-local factor of ``solve_no_jump_prob`` included), ``lu_nnz`` (their L+U
-nonzeros summed), ``lu_nnz_max`` (the L+U nonzeros of the largest single
-factor), ``fast_setups`` (fast-diagonalization solvers set up in place of a
-sparse LU), ``solves`` (local solves with either kind) and
-``eigen_iterations`` (inverse power iterations).
+per public solve), ``sparse_builds`` (sparse A_loc matrices built from an
+operator's stencil, which only the sparse LU reads), ``factorizations``
+(sparse LUs, every one of them, the local factor of ``solve_no_jump_prob``
+included), ``lu_nnz`` (their L+U nonzeros summed), ``lu_nnz_max`` (the L+U
+nonzeros of the largest single factor), ``fast_setups`` (fast-diagonalization
+solvers set up in place of a sparse LU), ``solves`` (local solves with either
+kind) and ``eigen_iterations`` (inverse power iterations).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,8 +38,8 @@ from jumplab import fdm, mc  # noqa: E402
 import workloads  # noqa: E402
 
 COUNTS = ["paths", "nominal_steps", "lockstep_span", "lane_steps", "iterations",
-          "assemblies", "factorizations", "lu_nnz", "lu_nnz_max", "fast_setups", "solves",
-          "eigen_iterations"]
+          "assemblies", "sparse_builds", "factorizations", "lu_nnz", "lu_nnz_max", "fast_setups",
+          "solves", "eigen_iterations"]
 
 
 def main(argv=None):
@@ -50,6 +52,7 @@ def main(argv=None):
     simulate, eigen = mc.simulate_ensemble, fdm.principal_eigenvalue
     assemble = fdm.assemble_operator
     local, separable = fdm._LocalSolver, fdm._SeparableSolver
+    a_loc = vars(fdm.DiscreteOperator)["A_loc"]
 
     def counted_ensemble(coeffs, domain, cfg, *rest, **kwargs):
         ens = simulate(coeffs, domain, cfg, *rest, **kwargs)
@@ -63,8 +66,8 @@ def main(argv=None):
         return ens
 
     class CountedLU(local):
-        def __init__(self, A):
-            super().__init__(A)
+        def __init__(self, op):
+            super().__init__(op)
             counts["factorizations"] += 1
             counts["lu_nnz"] += self.lu.nnz
             counts["lu_nnz_max"] = max(counts["lu_nnz_max"], self.lu.nnz)
@@ -86,6 +89,13 @@ def main(argv=None):
         counts["assemblies"] += 1
         return assemble(*args, **kwargs)
 
+    @functools.cached_property
+    def counted_a_loc(op):
+        counts["sparse_builds"] += 1
+        return a_loc.func(op)
+
+    counted_a_loc.__set_name__(fdm.DiscreteOperator, "A_loc")
+
     def counted_eigen(*args, **kwargs):
         res = eigen(*args, **kwargs)
         counts["eigen_iterations"] += res.iterations
@@ -94,6 +104,7 @@ def main(argv=None):
     mc.simulate_ensemble = counted_ensemble
     fdm.principal_eigenvalue, fdm.assemble_operator = counted_eigen, counted_assemble
     fdm._LocalSolver, fdm._SeparableSolver = CountedLU, CountedSeparable
+    fdm.DiscreteOperator.A_loc = counted_a_loc
     try:
         for op in workloads.WORKLOADS[args.workload](args.seed).ops():
             op.call()
@@ -101,6 +112,7 @@ def main(argv=None):
         mc.simulate_ensemble, fdm.principal_eigenvalue = simulate, eigen
         fdm.assemble_operator = assemble
         fdm._LocalSolver, fdm._SeparableSolver = local, separable
+        fdm.DiscreteOperator.A_loc = a_loc
     print(json.dumps({"workload": args.workload, "seed": args.seed, **counts}))
     return 0
 

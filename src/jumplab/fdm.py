@@ -6,9 +6,12 @@ in grid coordinates (cartesian for the box family: interval, rectangle;
 the axis ends that carry Dirichlet data, and the map to cartesian points; a
 non-periodic end without Dirichlet data is reflecting (the excised core ring
 of a disk).  Assembly, interpolation and the boundary flux are written once
-for that model, axis by axis.  The local part A = delta*G_h - diag(V) has one
-record, its stencil {offset: coefficients at the interior nodes}: the sparse
-A_loc and B_bc and the choice of local solver are read from it.
+for that model, axis by axis.  Node ids are row-major, and the interior is
+one tensor block of them, so interior vectors reshape to that block.  The
+local part A = delta*G_h - diag(V) has one record, its stencil {offset:
+coefficients at the interior nodes}: products with A (``DiscreteOperator.apply``)
+and the choice of local solver read it in place, and the sparse A_loc and B_bc
+are built from it only for the sparse LU.
 
 The redistribution term is a rank-one coupling v w^T (the intensity column
 times the mu-quadrature row); Dirichlet solves and the inverse-power
@@ -24,12 +27,12 @@ There are two local solvers, and the stencil picks one:
   on a box, theta on a polar grid) it is symmetric and the same at every
   index, as with constant coefficients or ones that vary with x or r only.
   A is then a Kronecker sum; a solve is a sine or Fourier transform along
-  axis 1 and one tridiagonal solve per mode.  No sparse factor is formed.
+  axis 1 and one tridiagonal solve per mode.  No sparse matrix is formed.
 - one sparse LU factorization for every other operator: all 1D grids, cross
-  terms a12, coefficients that vary along axis 1, and drift along it.  Its
-  columns keep the order of the unknowns: ``build_grid`` lists a 2D interior
-  in nested-dissection order taken from the tensor shape, and a 1D interior
-  sorted, as a tridiagonal matrix does not fill.
+  terms a12, coefficients that vary along axis 1, and drift along it.  It
+  factors the unknowns in its own order: nested dissection taken from the
+  tensor shape in 2D, and row-major in 1D, where a tridiagonal matrix does
+  not fill.
 Vector dots and norms go through ``reductions.dot``.  Assembly enforces
 h <= 0.5 * sqrt(delta a_min / V_max), which resolves the boundary layer of
 width ~ sqrt(delta a / V), along every axis with Dirichlet ends unless
@@ -75,6 +78,10 @@ class _Cartesian:
         """Unit axis vectors e_k as rows, (n, d, d) or broadcastable (1, d, d)."""
         return np.eye(xi.shape[1])[None]
 
+    def tensor(self, axes):
+        """Cartesian points of the tensor grid of per-axis coordinates, row-major (n, d)."""
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
 
 @dataclass(frozen=True)
 class _Polar:
@@ -98,6 +105,12 @@ class _Polar:
         c, s = np.cos(xi[:, 1]), np.sin(xi[:, 1])
         return np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
 
+    def tensor(self, axes):
+        """One cosine and sine per angle, broadcast over the radii."""
+        r, theta = axes
+        return np.stack([self.cx + r[:, None] * np.cos(theta),
+                         self.cy + r[:, None] * np.sin(theta)], axis=-1).reshape(-1, 2)
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -110,7 +123,7 @@ class Grid:
     coords: object            # grid coordinates <-> cartesian, scale factors, unit vectors
     coordinates: np.ndarray   # (N, d) grid coordinates
     points: np.ndarray        # (N, d) cartesian coordinates
-    interior: np.ndarray      # flat ids, in the unknowns' factorization order
+    interior: np.ndarray      # flat ids, row-major: the tensor block ``block``
     boundary: np.ndarray      # flat ids
     cell_weights: np.ndarray  # (N,) trapezoid volume weights
 
@@ -121,6 +134,13 @@ class Grid:
     @property
     def spacing(self):
         return tuple(float(ax[1] - ax[0]) for ax in self.axes)
+
+    @property
+    def block(self):
+        """The interior as a tensor block: per axis, the range of its node indices,
+        every node but the axis ends that carry Dirichlet data."""
+        return tuple(range(int(0 in ends), m - int(-1 in ends))
+                     for m, ends in zip(self.shape, self.dirichlet))
 
     @property
     def boundary_normals(self):
@@ -134,6 +154,21 @@ class Grid:
         moved = np.mod(index + shift, n) if self.periodic[axis] else np.clip(index + shift, 0, n - 1)
         return ids + (moved - index) * math.prod(self.shape[axis + 1:])
 
+    def padded(self, values):
+        """``values`` at the nodes as an array of ``shape`` with one more node at each
+        end of every axis, the node where ``step`` lands past that end."""
+        x = np.reshape(values, self.shape)
+        for k, periodic in enumerate(self.periodic):
+            low, high = (-1, 0) if periodic else (0, -1)
+            x = np.concatenate([x.take([low], axis=k), x, x.take([high], axis=k)], axis=k)
+        return x
+
+    def shifted(self, offset):
+        """Slices of ``padded`` values that hold the interior block moved
+        ``offset`` steps, at most one, along each axis."""
+        return tuple(slice(rows.start + 1 + shift, rows.stop + 1 + shift)
+                     for rows, shift in zip(self.block, offset))
+
 
 def _trapezoid(x):
     w = np.full(len(x), x[1] - x[0])
@@ -146,10 +181,10 @@ def _trapezoid(x):
 ND_MIN_WIDTH = 3
 
 
-def _dissection_order(width, rows, cols, periodic):
-    """Flat ids of the block ``rows`` x ``cols`` of a 2D tensor grid ``width``
-    nodes wide, in nested-dissection order: a block's two halves, then the
-    line between them.
+def _nested_dissection(grid):
+    """The sparse LU's order of a 2D interior, as positions in the row-major
+    interior block: nested dissection, a block's two halves, then the line
+    between them.  None in 1D, where a tridiagonal matrix does not fill.
 
     A box bisects its longer axis (across the rows on a tie) until it is under
     ND_MIN_WIDTH nodes wide; such a leaf is row-major.  On a periodic second
@@ -159,6 +194,9 @@ def _dissection_order(width, rows, cols, periodic):
     its shape alone, so each shape is ordered once, as offsets from the
     block's first node: one or two shapes per level of the tree.
     """
+    if len(grid.shape) != 2:
+        return None
+    rows, width = (len(axis) for axis in grid.block)
     half = width // 2
 
     def join(low, high, shift, *lines):  # shifts high in the copy, not in the cache
@@ -184,12 +222,11 @@ def _dissection_order(width, rows, cols, periodic):
         lines = np.arange(h) * width
         return join(box(h, half - 1) + 1, box(h, width - half - 1), half + 1, lines, lines + half)
 
-    order = band(len(rows)) if periodic else box(len(rows), len(cols))
+    order = band(rows) if grid.periodic[1] else box(rows, width)
     # box and band refer to themselves: free their cached orders now, not at
     # the next cycle collection
     box.cache_clear()
     band.cache_clear()
-    order += rows.start * width + cols.start  # no longer shared with the cache
     return order
 
 
@@ -209,9 +246,10 @@ def build_grid(domain: Domain, n, n_angular=64) -> Grid:
 
     Box grids take ``n`` or a per-axis tuple.  Polar grids take ``n`` radial
     and ``n_angular`` angular nodes; the disk excises a small core whose ring
-    is closed by a reflecting face.  A 2D interior is listed in
-    nested-dissection order, a 1D one sorted.  Too few nodes, or node arrays
-    larger than the physical memory, raise ValidationError.
+    is closed by a reflecting face.  Node ids are row-major, and the interior
+    is listed in that order: it is one tensor block (``Grid.block``), so
+    interior vectors reshape to the block's shape.  Too few nodes, or node
+    arrays larger than the physical memory, raise ValidationError.
     """
     if isinstance(domain, Box):
         d = domain.dim
@@ -247,30 +285,27 @@ def build_grid(domain: Domain, n, n_angular=64) -> Grid:
     cell_weights = weights[0]
     for w in weights[1:]:
         cell_weights = np.multiply.outer(cell_weights, w)
-    xi = xi.reshape(-1, d)
-    if d == 2:
-        inside = (range(int(0 in ends), m - int(-1 in ends)) for m, ends in zip(shape, dirichlet))
-        interior = _dissection_order(shape[1], *inside, periodic[1])
-    else:
-        interior = np.flatnonzero(~on_bdy)
-    if family == "polar":  # one cosine and sine per angle, broadcast over the radii
-        r, theta = axes
-        points = np.stack([coords.cx + r[:, None] * np.cos(theta),
-                           coords.cy + r[:, None] * np.sin(theta)], axis=-1).reshape(-1, d)
-    else:
-        points = coords.to_cartesian(xi)
-    return Grid(domain, family, axes, shape, periodic, dirichlet, coords, xi,
-                points, interior, np.flatnonzero(on_bdy), cell_weights.ravel())
+    return Grid(domain, family, axes, shape, periodic, dirichlet, coords, xi.reshape(-1, d),
+                coords.tensor(axes), np.flatnonzero(~on_bdy), np.flatnonzero(on_bdy),
+                cell_weights.ravel())
+
+
+def _smallest_diffusion(coeffs: CoefficientSet, points):
+    """The smallest eigenvalue of the diffusion matrix over ``points`` (every
+    k-th of them beyond 20,000), in closed form for a 1 x 1 or 2 x 2 matrix."""
+    if len(points) > 20000:
+        points = points[:: len(points) // 20000 + 1]
+    a = coeffs.diffusion(points)
+    if a.shape[1] == 1:
+        return float(np.min(a))
+    mean, half_gap = (a[:, 0, 0] + a[:, 1, 1]) / 2, (a[:, 0, 0] - a[:, 1, 1]) / 2
+    return float(np.min(mean - np.hypot(half_gap, a[:, 0, 1])))
 
 
 def layer_scale(coeffs: CoefficientSet, grid: Grid):
     """sqrt(delta-free layer scale) ingredients: (a_min, V_max) over the grid."""
-    pts = grid.points
-    if len(pts) > 20000:
-        pts = pts[:: len(pts) // 20000 + 1]
-    amin = float(np.min(np.linalg.eigvalsh(coeffs.diffusion(pts))))
-    vmax = float(np.max(coeffs.intensity(grid.points)))
-    return amin, vmax
+    return (_smallest_diffusion(coeffs, grid.points),
+            float(np.max(coeffs.intensity(grid.points))))
 
 
 def suggest_resolution(domain: Domain, delta, coeffs: CoefficientSet, factor=0.25):
@@ -289,10 +324,10 @@ def suggest_resolution(domain: Domain, delta, coeffs: CoefficientSet, factor=0.2
     return int(min(400001, max(11, math.ceil(length / h) + 1)))
 
 
-def _check_layer_resolution(delta, coeffs, grid, allow_coarse):
-    amin, vmax = layer_scale(coeffs, grid)
+def _check_layer_resolution(delta, coeffs, grid, vmax, allow_coarse):
     if vmax <= 0:
         return
+    amin = _smallest_diffusion(coeffs, grid.points)
     h = max(hk for hk, ends in zip(grid.spacing, grid.dirichlet) if ends)
     limit = 0.5 * math.sqrt(delta * amin / vmax)
     if h > limit:
@@ -306,8 +341,9 @@ def _check_layer_resolution(delta, coeffs, grid, allow_coarse):
 
 
 def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
-    """delta*G_h - diag(V) as {offset: coefficients at the interior nodes}, an
-    offset counting the steps along each grid axis, (0, ..., 0) the node itself.
+    """(stencil, v): delta*G_h - diag(V) as {offset: coefficients at the interior
+    nodes}, an offset counting the steps along each grid axis, (0, ..., 0) the
+    node itself; and V at the interior nodes, from the one evaluation of V.
 
     Per grid axis k: a flux-form second order stencil with a_kk at the face
     centres times the metric weight J_face / (J h_k,face^2), J the product of
@@ -315,7 +351,8 @@ def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
     and a centred drift b . e_k / h_k.  A reflecting axis end closes its face
     and takes a one-sided drift difference, the closed side's on the node.
     """
-    _check_layer_resolution(delta, coeffs, grid, allow_coarse)
+    intensity = coeffs.intensity.eval(grid.points)
+    _check_layer_resolution(delta, coeffs, grid, float(np.max(intensity)), allow_coarse)
     if grid.family == "polar" and not coeffs.diffusion.is_isotropic():
         raise ValidationError("polar grids support isotropic diffusion only")
     d = len(grid.shape)
@@ -325,7 +362,8 @@ def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
     jac = math.prod(scale.T)
     centre = (0,) * d
     along = lambda k, s: tuple(s * (axis == k) for axis in range(d))
-    stencil = {centre: -coeffs.intensity.eval(pts)}
+    v = intensity[me]
+    stencil = {centre: -v}
     if d == 2 and (a12 := coeffs.diffusion.entry(0, 1)).constant_value() != 0.0:
         # box grids only (polar diffusion is isotropic): symmetric a12 cross terms
         # via centered difference of centered differences
@@ -339,6 +377,7 @@ def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
     bvals = np.stack([c.eval(pts) for c in coeffs.drift.components], axis=1)
     drift = (np.einsum("...kj,...j->...k", grid.coords.units(xi), bvals) / scale
              if np.any(bvals) else None)
+    block = [ax[rows.start:rows.stop] for ax, rows in zip(grid.axes, grid.block)]
     one_sided = 0.0  # joins the node's own coefficient after the faces of every axis
     for k, (h, n) in enumerate(zip(grid.spacing, grid.shape)):
         # +1 (-1) at an interior node on a reflecting low (high) end of axis k
@@ -350,7 +389,8 @@ def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
             face[:, k] += s * h / 2
             face_scale = grid.coords.scales(face)
             weight = math.prod(face_scale.T) / (jac * face_scale[:, k] ** 2) * (wall != -s)
-            c = delta * 0.5 * a_kk.eval(grid.coords.to_cartesian(face)) * weight / h**2
+            faces = block[:k] + [block[k] + s * h / 2] + block[k + 1:]
+            c = delta * 0.5 * a_kk.eval(grid.coords.tensor(faces)) * weight / h**2
             stencil[along(k, s)] = c
             stencil[centre] -= c
         if drift is not None:  # centred; one-sided into the domain at a reflecting end
@@ -359,25 +399,28 @@ def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
                 stencil[along(k, s)] += s * c * (wall != -s)
                 one_sided = one_sided + s * c * (wall == -s)
     stencil[centre] += one_sided
-    return stencil
+    return stencil, v
 
 
-def _matrices(stencil, grid: Grid):
-    """(A_loc, B_bc) of a stencil: the interior and the boundary columns of its rows."""
-    n, index = len(grid.interior), np.unravel_index(grid.interior, grid.shape)
-    cols = [grid.interior] * len(stencil)  # each offset's neighbours, one axis at a time
-    for k in range(len(grid.shape)):
-        cols = [grid.step(ids, index[k], k, offset[k]) for ids, offset in zip(cols, stencil)]
-    M = sp.csr_matrix((np.concatenate(list(stencil.values())),
-                       (np.tile(np.arange(n), len(stencil)), np.concatenate(cols))),
-                      shape=(n, grid.n_nodes)).tocsc()
-    return M[:, grid.interior].tocsc(), M[:, grid.boundary].tocsr()
+def _columns(stencil, grid: Grid, ids):
+    """The rows of ``stencil`` at the node columns ``ids`` (sorted flat ids), as COO:
+    each offset's neighbours taken as ``DiscreteOperator.apply`` takes them."""
+    nodes = grid.padded(np.arange(grid.n_nodes))
+    cols = np.concatenate([nodes[grid.shifted(offset)].ravel() for offset in stencil])
+    rows = np.tile(np.arange(len(grid.interior)), len(stencil))
+    slot = np.full(grid.n_nodes, -1)
+    slot[ids] = np.arange(len(ids))
+    keep = slot[cols] >= 0
+    return sp.coo_matrix((np.concatenate(list(stencil.values()))[keep],
+                          (rows[keep], slot[cols[keep]])), shape=(len(grid.interior), len(ids)))
 
 
 def assemble_local(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse=False):
     """(A_loc, B_bc): the local operator delta*G_h - diag(V) (``_stencil``) from
     interior to interior nodes, and the coupling of boundary values into them."""
-    return _matrices(_stencil(delta, coeffs, grid, allow_coarse), grid)
+    stencil, _ = _stencil(delta, coeffs, grid, allow_coarse)
+    return (_columns(stencil, grid, grid.interior).tocsc(),
+            _columns(stencil, grid, grid.boundary).tocsr())
 
 
 def mu_quadrature_weights(coeffs: CoefficientSet, grid: Grid):
@@ -391,15 +434,15 @@ def mu_quadrature_weights(coeffs: CoefficientSet, grid: Grid):
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """delta*G_h - diag(V) plus the rank-one redistribution coupling v w^T."""
+    """delta*G_h - diag(V) plus the rank-one redistribution coupling v w^T.  The
+    local part is the stencil: A_loc and B_bc are built from it on first access,
+    which only the sparse LU makes."""
 
     grid: Grid
     delta: float
-    A_loc: sp.csc_matrix   # interior x interior
-    B_bc: sp.csr_matrix    # interior x boundary
     v: np.ndarray          # intensity at interior nodes
     w_all: np.ndarray      # mu weights over all nodes, sum 1
-    stencil: dict          # A_loc and B_bc as {offset: coefficients at the interior nodes}
+    stencil: dict          # the local part as {offset: coefficients at the interior nodes}
 
     @property
     def w_interior(self):
@@ -409,29 +452,59 @@ class DiscreteOperator:
     def w_boundary(self):
         return self.w_all[self.grid.boundary]
 
+    @functools.cached_property
+    def A_loc(self) -> sp.csc_matrix:
+        """Interior x interior."""
+        return _columns(self.stencil, self.grid, self.grid.interior).tocsc()
+
+    @functools.cached_property
+    def B_bc(self) -> sp.csr_matrix:
+        """Interior x boundary."""
+        return _columns(self.stencil, self.grid, self.grid.boundary).tocsr()
+
+    def apply(self, values):
+        """The rows of [A_loc B_bc] times ``values`` over all nodes, from the stencil:
+        the products summed in ascending order of flat displacement (the offsets'
+        lexicographic order) from the first one on, in 1D the order of a CSC
+        product, bit for bit."""
+        x, block = self.grid.padded(values), tuple(len(rows) for rows in self.grid.block)
+        terms = (c.reshape(block) * x[self.grid.shifted(offset)]
+                 for offset, c in sorted(self.stencil.items()))
+        out = next(terms)
+        for term in terms:
+            out += term
+        return out.ravel()
+
 
 def assemble_operator(delta, coeffs: CoefficientSet, grid: Grid,
                       allow_coarse=False) -> DiscreteOperator:
-    stencil = _stencil(delta, coeffs, grid, allow_coarse)
-    v = coeffs.intensity.eval(grid.points[grid.interior])
+    stencil, v = _stencil(delta, coeffs, grid, allow_coarse)
     w = mu_quadrature_weights(coeffs, grid)
     if abs(w.sum() - 1.0) > 1e-8:
         raise ValidationError("discrete mu weights do not sum to 1")
-    return DiscreteOperator(grid, float(delta), *_matrices(stencil, grid), v, w, stencil)
+    return DiscreteOperator(grid, float(delta), v, w, stencil)
 
 
 class _LocalSolver:
-    """One sparse LU factorization (``lu``) of the local part, its columns in
-    their given order: the order of ``Grid.interior``, nested dissection in 2D."""
+    """One sparse LU factorization (``lu``) of P A P^T in that column order, A an
+    operator's local part and P the grid's nested-dissection ``order`` (None in
+    1D: P = I).  A solve permutes the right-hand side and the solution."""
 
-    def __init__(self, A):
+    def __init__(self, op: DiscreteOperator):
+        A, self.order = op.A_loc, _nested_dissection(op.grid)
+        if self.order is not None:
+            A = A[self.order][:, self.order]
         try:
             self.lu = spla.splu(A.tocsc(), permc_spec="NATURAL")
         except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"sparse LU failed: {err}") from err
 
     def solve(self, rhs):
-        return self.lu.solve(rhs)
+        if self.order is None:
+            return self.lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order])
+        return x
 
 
 # Stencil coefficients that differ by at most this much, relative, count as
@@ -452,8 +525,8 @@ def _dst1(x):
 class _SeparableSolver:
     """Fast diagonalization of a 2D local part that separates along axis 1.
 
-    With the interior as an m0 x m1 block of tensor positions (i, j), A must
-    couple only axis neighbours, and every coefficient of its stencil must be
+    With the row-major interior as an m0 x m1 block (i, j), A must couple
+    only axis neighbours, and every coefficient of its stencil must be
     the same at every j, with equal +1 and -1 coefficients c(i) along j.  Then
     A = B (x) I + diag(c) (x) T, with B tridiagonal in i and T the second
     difference in j: Dirichlet across a box axis, periodic around a ring.  A
@@ -463,9 +536,9 @@ class _SeparableSolver:
     are stacked mode after mode into one, factored once by LAPACK ``gttrf``.
     """
 
-    def __init__(self, pos, shape, periodic, lower, middle, upper, coupling):
+    def __init__(self, shape, periodic, lower, middle, upper, coupling):
         m0, m1 = self.shape = shape
-        self.pos, self.periodic = pos, periodic
+        self.periodic = periodic
         if periodic:  # real Fourier modes j = 0 .. m1/2, real and imaginary parts
             lam = -4 * np.sin(math.pi * np.arange(m1 // 2 + 1) / m1) ** 2
         else:  # sines j = 1 .. m1
@@ -485,21 +558,17 @@ class _SeparableSolver:
         if (len(grid.shape) != 2 or not (grid.periodic[1] or len(grid.dirichlet[1]) == 2)
                 or set(op.stencil) != set(offsets)):
             return None
-        i, j = (ax - ax.min() for ax in np.unravel_index(grid.interior, grid.shape))
-        m0, m1 = int(i.max()) + 1, int(j.max()) + 1
-        block = np.empty((len(offsets), m0, m1))  # each offset's coefficients at (i, j)
-        block[:, i, j] = [op.stencil[o] for o in offsets]
+        m0, m1 = (len(axis) for axis in grid.block)
+        block = np.stack([op.stencil[o] for o in offsets]).reshape(len(offsets), m0, m1)
         close = lambda a, b: np.all(np.abs(a - b) <= SEPARABLE_RTOL * np.abs(b))
         lower, middle, upper, c, c_behind = block[..., 0]
         if not (close(block, block[..., :1]) and close(c_behind, c)):
             return None
-        return cls(i * m1 + j, (m0, m1), grid.periodic[1], lower, middle + 2 * c, upper, c)
+        return cls((m0, m1), grid.periodic[1], lower, middle + 2 * c, upper, c)
 
     def solve(self, rhs):
         m0, m1 = self.shape
-        x = np.empty(m0 * m1)
-        x[self.pos] = rhs
-        x = x.reshape(m0, m1)
+        x = rhs.reshape(m0, m1)
         if self.periodic:
             f = np.fft.rfft(x, axis=1).T
             modes = np.stack([f.real, f.imag])
@@ -511,7 +580,7 @@ class _SeparableSolver:
             x = np.fft.irfft((y[0] + 1j * y[1]).T, n=m1, axis=1)
         else:
             x = _dst1(y[0].T) * (2 / (m1 + 1))
-        return x.ravel()[self.pos]
+        return x.ravel()
 
 
 class RankOneSolver:
@@ -529,8 +598,8 @@ class RankOneSolver:
     """
 
     def __init__(self, op: DiscreteOperator):
-        self.local = _SeparableSolver.of(op) or _LocalSolver(op.A_loc)
-        q = self.local.solve(-(op.B_bc @ np.ones(len(op.grid.boundary))))
+        self.local = _SeparableSolver.of(op) or _LocalSolver(op)
+        q = self.local.solve(-op.apply(_on_grid(op.grid, 0.0, 1.0).values))
         if not np.all(np.isfinite(q)):
             raise SolverError("singular or ill-conditioned local solve")
         self.no_jump = _on_grid(op.grid, q, 1.0)
@@ -593,7 +662,7 @@ def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None,
     op = assemble_operator(delta, coeffs, grid, allow_coarse=allow_coarse)
     f = coeffs.boundary_data if f is None else f
     fb = f.eval(grid.points[grid.boundary])
-    rhs = -(op.B_bc @ fb) - op.v * dot(op.w_boundary, fb)
+    rhs = -op.apply(_on_grid(grid, 0.0, fb).values) - op.v * dot(op.w_boundary, fb)
     return _on_grid(grid, RankOneSolver(op).solve(rhs), fb)
 
 
@@ -618,12 +687,14 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid) -> EigenResu
     """
     op = assemble_operator(delta, coeffs, grid)
     solver = RankOneSolver(op)
-    apply_negM = lambda psi: -(op.A_loc @ psi + op.v * dot(op.w_interior, psi))
+    apply_negM = lambda psi: -(op.apply(_on_grid(grid, psi, 0.0).values)
+                               + op.v * dot(op.w_interior, psi))
 
     psi = np.full(len(grid.interior), 1.0 / math.sqrt(len(grid.interior)))
     # Rayleigh quotients of a tiny eigenvalue carry cancellation noise of
     # order eps * ||M||; the relative-change test bottoms out there.
-    noise_floor = 32 * np.finfo(float).eps * float(np.max(np.abs(op.A_loc.diagonal())))
+    diagonal = op.stencil[(0,) * len(grid.shape)]
+    noise_floor = 32 * np.finfo(float).eps * float(np.max(np.abs(diagonal)))
     lam_prev = None
     lam = None
     res = math.inf

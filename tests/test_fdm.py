@@ -194,28 +194,36 @@ def test_rank_one_solve_is_exact_at_a_tiny_denominator():
 
 
 def test_singular_factor_is_a_solver_error():
-    import scipy.sparse as sp
+    grid = fdm.build_grid(Domain.interval(0.0, 1.0), 4)
+    op = fdm.assemble_operator(1.0, coeffs_1d(), grid)
+    zero = dataclasses.replace(op, stencil={o: np.zeros(2) for o in op.stencil})
     with pytest.raises(SolverError, match="singular"):
-        fdm._LocalSolver(sp.csc_matrix((2, 2)))
+        fdm._LocalSolver(zero)
 
 
 @pytest.mark.parametrize("name,n,n_angular", [
     ("square-k0-uniform", 101, None), ("disk-k0-radial", 101, 64), ("annulus-flux", 101, 64)])
 def test_lu_ordering_cuts_fill(name, n, n_angular):
+    """The LU in the grid's nested-dissection order P fills at most 3/4 of what
+    COLAMD makes of the same matrix P A P^T (COLAMD's ties depend on the order
+    it is given)."""
     spec = preset(name)
     grid = fdm.build_grid(spec.domain, n, n_angular)
     op = fdm.assemble_operator(1e-2, spec.coeffs, grid, allow_coarse=True)
-    local = fdm._LocalSolver(op.A_loc)
-    colamd = scipy.sparse.linalg.splu(op.A_loc, permc_spec="COLAMD")
+    local = fdm._LocalSolver(op)
+    order = local.order
+    assert np.array_equal(grid.interior[order], _nested_dissection_reference(grid))
+    colamd = scipy.sparse.linalg.splu(op.A_loc[order][:, order].tocsc(), permc_spec="COLAMD")
     assert local.lu.nnz <= 0.75 * colamd.nnz
     rhs = -(op.B_bc @ spec.coeffs.boundary_data.eval(grid.points[grid.boundary]))
-    x = local.solve(rhs)
-    x_colamd = colamd.solve(rhs)
+    x = local.solve(rhs)[order]
+    x_colamd = colamd.solve(rhs[order])
     assert np.max(np.abs(x - x_colamd)) <= 1e-12 * np.max(np.abs(x_colamd))
 
 
 def _nested_dissection_reference(grid):
-    """The 2D interior order that build_grid documents, one Python call per block."""
+    """The flat ids of a 2D interior in the sparse LU's documented order, one
+    Python call per block."""
     width = grid.shape[1]
     rows, cols = (list(range(int(0 in ends), m - int(-1 in ends)))
                   for m, ends in zip(grid.shape, grid.dirichlet))
@@ -250,22 +258,30 @@ def _nested_dissection_reference(grid):
 ], ids=["interval", "rect-41x23", "rect-5x60", "rect-3x3", "disk-8", "disk-64",
         "annulus-8", "annulus-64"])
 def test_interior_order_is_a_permutation_of_the_non_boundary_ids(domain, n, n_angular):
+    """The interior is row-major; the sparse LU factors it in nested-dissection
+    order in 2D and in that order in 1D."""
     grid = fdm.build_grid(domain, n, n_angular)
     index = np.unravel_index(np.arange(grid.n_nodes), grid.shape)
     on_bdy = np.zeros(grid.n_nodes, dtype=bool)
     for k, ends in enumerate(grid.dirichlet):
         on_bdy |= ((index[k] == 0) & (0 in ends)) | ((index[k] == grid.shape[k] - 1) & (-1 in ends))
-    assert np.array_equal(np.sort(grid.interior), np.flatnonzero(~on_bdy))
+    assert np.array_equal(grid.interior, np.flatnonzero(~on_bdy))
     assert np.array_equal(grid.boundary, np.flatnonzero(on_bdy))
     assert np.array_equal(fdm.build_grid(domain, n, n_angular).interior, grid.interior)
+    coeffs = (coeffs_1d() if domain.dim == 1 else _coeffs_2d() if grid.family == "box"
+              else preset("disk-k0-radial").coeffs)
+    lu = fdm._LocalSolver(fdm.assemble_operator(10.0, coeffs, grid))
     if domain.dim == 1:
-        assert np.all(np.diff(grid.interior) > 0)
+        assert lu.order is None
     else:
-        assert np.array_equal(grid.interior, _nested_dissection_reference(grid))
+        assert np.array_equal(grid.interior[lu.order], _nested_dissection_reference(grid))
 
 
 @pytest.mark.parametrize("case", ["rectangle-a12", "disk", "annulus"])
-def test_solves_do_not_depend_on_the_interior_order(case):
+def test_solves_do_not_depend_on_the_interior_order(case, monkeypatch):
+    """The sparse LU in nested-dissection order and in the row-major order of
+    the unknowns give the same results; the disk and the annulus, which
+    separate, are sent to the LU too."""
     if case == "rectangle-a12":
         a12 = PolyField.from_dict(2, {(1, 1): 0.2})
         coeffs = CoefficientSet(
@@ -279,22 +295,30 @@ def test_solves_do_not_depend_on_the_interior_order(case):
         coeffs, grid = spec.coeffs, fdm.build_grid(spec.domain, 41, 32)
     delta = 0.05
     f = PolyField.from_dict(2, {(1, 0): 1.0})
-    sorted_grid = dataclasses.replace(grid, interior=np.sort(grid.interior))
-    assert not np.array_equal(sorted_grid.interior, grid.interior)
+    order = fdm._nested_dissection(grid)
+    assert not np.array_equal(order, np.arange(len(order)))
+    monkeypatch.setattr(fdm._SeparableSolver, "of", classmethod(lambda cls, op: None))
+    assert isinstance(fdm.RankOneSolver(fdm.assemble_operator(delta, coeffs, grid)).local,
+                      fdm._LocalSolver)
 
     def close(a, b):
         return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    eig, eig_sorted = (fdm.principal_eigenvalue(delta, coeffs, g) for g in (grid, sorted_grid))
+    def solve():
+        u = fdm.solve_no_jump_prob(delta, coeffs, grid)
+        phi = fdm.solve_exit_functional(delta, coeffs, grid, f=f)
+        return fdm.principal_eigenvalue(delta, coeffs, grid), phi, u, fdm.boundary_flux(u, coeffs)
+
+    eig, phi, u, flux = solve()
+    monkeypatch.setattr(fdm, "_nested_dissection", lambda grid: None)
+    eig_sorted, phi_sorted, u_sorted, flux_sorted = solve()
     diag = fdm.assemble_local(delta, coeffs, grid)[0].diagonal()
     floor = 32 * np.finfo(float).eps * np.max(np.abs(diag))
     assert abs(eig.lambda0 - eig_sorted.lambda0) <= floor + 1e-10 * eig_sorted.lambda0
     assert close(eig.eigenfunction.values, eig_sorted.eigenfunction.values)
-    phi, phi_sorted = (fdm.solve_exit_functional(delta, coeffs, g, f=f) for g in (grid, sorted_grid))
     assert close(phi.values, phi_sorted.values)
-    u, u_sorted = (fdm.solve_no_jump_prob(delta, coeffs, g) for g in (grid, sorted_grid))
     assert close(u.values, u_sorted.values)
-    assert close(fdm.boundary_flux(u, coeffs).values, fdm.boundary_flux(u_sorted, coeffs).values)
+    assert close(flux.values, flux_sorted.values)
 
 
 def _coeffs_2d(a11=None, V=None, b=(0.0, 0.0)):
@@ -342,22 +366,30 @@ def _solver_case(case):
     return spec.coeffs, fdm.build_grid(spec.domain, 101), 0.05
 
 
-def _rank_one_problem(case, order="nested-dissection"):
+def _rank_one_problem(case):
     coeffs, grid, delta = _solver_case(case)
-    if order == "sorted":
-        grid = dataclasses.replace(grid, interior=np.sort(grid.interior))
     op = fdm.assemble_operator(delta, coeffs, grid)
     fb = coeffs.boundary_data.eval(grid.points[grid.boundary])
     return op, -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
 
 
+ALL_CASES = ["separable-square", "separable-disk", "separable-annulus",
+             "separable-annulus-radial-V", "separable-rectangle-V-of-x", "rectangle-a12",
+             "disk-V-of-x", "square-drift-y", "disk-drift", "interval"]
+
+
 @pytest.mark.parametrize("order", ["nested-dissection", "sorted"])
 @pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-annulus",
                                   "separable-annulus-radial-V", "separable-rectangle-V-of-x"])
-def test_separable_solver_matches_lu(case, order):
-    op, rhs = _rank_one_problem(case, order)
+def test_separable_solver_matches_lu(case, order, monkeypatch):
+    """Against the sparse LU in nested-dissection order and in the sorted
+    (row-major) order of the unknowns."""
+    op, rhs = _rank_one_problem(case)
     fast = fdm.RankOneSolver(op)
-    lu = fdm._LocalSolver(op.A_loc)
+    if order == "sorted":
+        monkeypatch.setattr(fdm, "_nested_dissection", lambda grid: None)
+    lu = fdm._LocalSolver(op)
+    assert (lu.order is None) == (order == "sorted")
     assert isinstance(fast.local, fdm._SeparableSolver)
     dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
     for x, ref in ((fast.local.solve(rhs), lu.solve(rhs)), (fast.solve(rhs), dense)):
@@ -374,10 +406,7 @@ def test_operators_that_do_not_separate_take_the_lu_path(case):
     assert np.max(np.abs(solver.solve(rhs) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-annulus",
-                                  "separable-annulus-radial-V", "separable-rectangle-V-of-x",
-                                  "rectangle-a12", "disk-V-of-x", "square-drift-y", "disk-drift",
-                                  "interval"])
+@pytest.mark.parametrize("case", ALL_CASES)
 def test_local_rows_and_intensity_sum_to_zero(case):
     """A_loc 1 + B_bc 1 = -v: the rows of delta*G_h sum to zero, which makes the
     rank-one denominator the no-jump mass.  The gate sees a 1e-12 change in
@@ -396,12 +425,46 @@ def test_local_rows_and_intensity_sum_to_zero(case):
     assert residual(perturbed) > gate
 
 
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_apply_matches_the_sparse_rows(case):
+    """op.apply(x) = A_loc x_int + B_bc x_bdy, within 4 eps max|diag| max|x|.  In
+    1D each part is bit-equal to its CSC or CSR product, which is how the
+    solvers use it: interior values with a zero boundary, or the reverse."""
+    op, _ = _rank_one_problem(case)
+    grid, A, B = op.grid, op.A_loc, op.B_bc
+    x = np.random.default_rng(5).normal(size=grid.n_nodes)
+    reference = A @ x[grid.interior] + B @ x[grid.boundary]
+    gate = 4 * np.finfo(float).eps * np.max(np.abs(A.diagonal())) * np.max(np.abs(x))
+    assert np.max(np.abs(op.apply(x) - reference)) <= gate
+    if len(grid.shape) == 1:
+        interior, boundary = (fdm._on_grid(grid, x[grid.interior], 0.0).values,
+                              fdm._on_grid(grid, 0.0, x[grid.boundary]).values)
+        assert np.array_equal(op.apply(interior), A @ x[grid.interior])
+        assert np.array_equal(op.apply(boundary), B @ x[grid.boundary])
+
+
+@pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-annulus"])
+def test_fast_diagonalization_builds_no_sparse_matrix(case, monkeypatch):
+    coeffs, grid, delta = _solver_case(case)
+    op = fdm.assemble_operator(delta, coeffs, grid)
+    solver = fdm.RankOneSolver(op)
+    solver.solve(np.ones(len(grid.interior)))
+    assert isinstance(solver.local, fdm._SeparableSolver)
+    assert "A_loc" not in vars(op) and "B_bc" not in vars(op)
+    assert op.A_loc.shape == (len(grid.interior),) * 2 and "A_loc" in vars(op)
+
+    def build(*args):
+        raise AssertionError("a sparse matrix was built")
+
+    monkeypatch.setattr(fdm, "_columns", build)
+    fdm.principal_eigenvalue(delta, coeffs, grid)
+    fdm.solve_exit_functional(delta, coeffs, grid)
+    fdm.solve_no_jump_prob(delta, coeffs, grid)
+
+
 def test_separable_solver_admits_last_bit_differences():
     op, _ = _rank_one_problem("separable-annulus-radial-V")
-    i, j = np.unravel_index(op.grid.interior, op.grid.shape)
-    diag = np.zeros(op.grid.shape)
-    diag[i, j] = op.stencil[0, 0]
-    diag = diag[1:-1]
+    diag = op.stencil[0, 0].reshape(-1, op.grid.shape[1])
     spread = np.max(np.abs(diag - diag[:, :1]) / np.abs(diag[:, :1]))
     assert 0 < spread <= fdm.SEPARABLE_RTOL
     assert isinstance(fdm._SeparableSolver.of(op), fdm._SeparableSolver)
