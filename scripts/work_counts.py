@@ -13,7 +13,9 @@ and the engine's own ``lane_steps`` (blocks simulated) and ``iterations``
 (lockstep iterations).
 
 Finite differences: ``assemblies`` (calls of ``fdm.assemble_operator``, one
-per public solve), ``sparse_builds`` (sparse A_loc matrices built from an
+per public solve), ``stencil_floats`` (the floats the assembled stencils hold,
+the summed ``.size`` of their entries: per axis where a coefficient varies
+along one axis only), ``sparse_builds`` (sparse A_loc matrices built from an
 operator's stencil, which only the sparse LU reads), ``factorizations``
 (sparse LUs, every one of them, the local factor of ``solve_no_jump_prob``
 included), ``lu_nnz`` (their L+U nonzeros summed), ``lu_nnz_max`` (the L+U
@@ -38,8 +40,8 @@ from jumplab import fdm, mc  # noqa: E402
 import workloads  # noqa: E402
 
 COUNTS = ["paths", "nominal_steps", "lockstep_span", "lane_steps", "iterations",
-          "assemblies", "sparse_builds", "factorizations", "lu_nnz", "lu_nnz_max", "fast_setups",
-          "solves", "eigen_iterations"]
+          "assemblies", "stencil_floats", "sparse_builds", "factorizations", "lu_nnz",
+          "lu_nnz_max", "fast_setups", "solves", "eigen_iterations"]
 
 
 def main(argv=None):
@@ -86,8 +88,10 @@ def main(argv=None):
             return super().solve(rhs)
 
     def counted_assemble(*args, **kwargs):
+        op = assemble(*args, **kwargs)
         counts["assemblies"] += 1
-        return assemble(*args, **kwargs)
+        counts["stencil_floats"] += sum(c.size for c in op.stencil.values())
+        return op
 
     @functools.cached_property
     def counted_a_loc(op):

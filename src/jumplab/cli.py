@@ -302,10 +302,19 @@ def build_parser():
     return p
 
 
+def _check_counts(args):
+    """ConfigError where --grid-n is below 3 or --workers below 1."""
+    for flag, least in (("grid_n", 3), ("workers", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except JumplabError as exc:
         print(f"error: {exc}", file=sys.stderr)

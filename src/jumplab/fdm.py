@@ -8,10 +8,10 @@ non-periodic end without Dirichlet data is reflecting (the excised core ring
 of a disk).  Assembly, interpolation and the boundary flux are written once
 for that model, axis by axis.  Node ids are row-major, and the interior is
 one tensor block of them, so interior vectors reshape to that block.  The
-local part A = delta*G_h - diag(V) has one record, its stencil {offset:
-coefficients at the interior nodes}: products with A (``DiscreteOperator.apply``)
-and the choice of local solver read it in place, and the sparse A_loc and B_bc
-are built from it only for the sparse LU.
+local part A = delta*G_h - diag(V) has one record, its stencil {offset: an
+array that broadcasts to the interior block}: products with A (``apply``) and
+the choice of local solver read it in place, and the sparse A_loc and B_bc are
+built from it, broadcast per node, only for the sparse LU.
 
 The redistribution term is a rank-one coupling v w^T (the intensity column
 times the mu-quadrature row); Dirichlet solves and the inverse-power
@@ -70,9 +70,10 @@ class _Cartesian:
 
     from_cartesian = to_cartesian
 
-    def scales(self, xi):
-        """Scale factors |d x / d xi_k|, (n, d) or broadcastable (1, d)."""
-        return np.ones((1, xi.shape[1]))
+    def scales(self, axes):
+        """Scale factors |d x / d xi_k| over the tensor grid of per-axis coordinates
+        ``axes``: one array per axis k that broadcasts to that grid."""
+        return [np.ones((1,) * len(axes))] * len(axes)
 
     def units(self, xi):
         """Unit axis vectors e_k as rows, (n, d, d) or broadcastable (1, d, d)."""
@@ -98,8 +99,8 @@ class _Polar:
         dx, dy = x[..., 0] - self.cx, x[..., 1] - self.cy
         return np.stack([np.hypot(dx, dy), np.arctan2(dy, dx) % (2 * math.pi)], axis=-1)
 
-    def scales(self, xi):
-        return np.stack([np.ones(len(xi)), xi[:, 0]], axis=1)
+    def scales(self, axes):
+        return [np.ones((1, 1)), axes[0][:, None]]
 
     def units(self, xi):
         c, s = np.cos(xi[:, 1]), np.sin(xi[:, 1])
@@ -344,6 +345,9 @@ def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
     """(stencil, v): delta*G_h - diag(V) as {offset: coefficients at the interior
     nodes}, an offset counting the steps along each grid axis, (0, ..., 0) the
     node itself; and V at the interior nodes, from the one evaluation of V.
+    Each coefficient broadcasts to the interior block (``Grid.block``), of length
+    1 along the axes it does not vary along: metric weights, reflecting ends and a
+    constant a_kk are per axis; V, a varying a_kk, drift and a12 per node.
 
     Per grid axis k: a flux-form second order stencil with a_kk at the face
     centres times the metric weight J_face / (J h_k,face^2), J the product of
@@ -356,14 +360,14 @@ def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
     if grid.family == "polar" and not coeffs.diffusion.is_isotropic():
         raise ValidationError("polar grids support isotropic diffusion only")
     d = len(grid.shape)
-    me = grid.interior
-    index, xi, pts = np.unravel_index(me, grid.shape), grid.coordinates[me], grid.points[me]
-    scale = grid.coords.scales(xi)
-    jac = math.prod(scale.T)
+    me, shape = grid.interior, tuple(len(rows) for rows in grid.block)
+    block = [ax[rows.start:rows.stop] for ax, rows in zip(grid.axes, grid.block)]
+    scale = grid.coords.scales(block)
+    jac = math.prod(scale)
     centre = (0,) * d
     along = lambda k, s: tuple(s * (axis == k) for axis in range(d))
     v = intensity[me]
-    stencil = {centre: -v}
+    stencil = {centre: -v.reshape(shape)}
     if d == 2 and (a12 := coeffs.diffusion.entry(0, 1)).constant_value() != 0.0:
         # box grids only (polar diffusion is isotropic): symmetric a12 cross terms
         # via centered difference of centered differences
@@ -372,31 +376,35 @@ def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
         a = {pq: a12.eval(grid.points[at(*pq)]) for pq in ((1, 0), (-1, 0), (0, 1), (0, -1))}
         for p in (1, -1):
             for q in (1, -1):
-                stencil[p, q] = c * p * q * (a[p, 0] + a[0, q])
+                stencil[p, q] = (c * p * q * (a[p, 0] + a[0, q])).reshape(shape)
 
-    bvals = np.stack([c.eval(pts) for c in coeffs.drift.components], axis=1)
-    drift = (np.einsum("...kj,...j->...k", grid.coords.units(xi), bvals) / scale
-             if np.any(bvals) else None)
-    block = [ax[rows.start:rows.stop] for ax, rows in zip(grid.axes, grid.block)]
+    drift = None  # b . e_k per node, unless every component is the zero constant
+    if any(b.constant_value() != 0.0 for b in coeffs.drift.components):
+        bvals = np.stack([b.eval(grid.points[me]) for b in coeffs.drift.components], axis=1)
+        if np.any(bvals):
+            units = grid.coords.units(grid.coordinates[me])
+            drift = np.einsum("...kj,...j->...k", units, bvals).reshape(shape + (d,))
     one_sided = 0.0  # joins the node's own coefficient after the faces of every axis
-    for k, (h, n) in enumerate(zip(grid.spacing, grid.shape)):
+    for k, (h, n, rows) in enumerate(zip(grid.spacing, grid.shape, grid.block)):
         # +1 (-1) at an interior node on a reflecting low (high) end of axis k
+        index = np.arange(rows.start, rows.stop).reshape((-1,) + (1,) * (d - 1 - k))
         wall = 0 if grid.periodic[k] or len(grid.dirichlet[k]) == 2 \
-            else (index[k] == 0).astype(int) - (index[k] == n - 1)
+            else (index == 0).astype(int) - (index == n - 1)
         a_kk = coeffs.diffusion.entry(k, k)
         for s in (1, -1):
-            face = xi.copy()
-            face[:, k] += s * h / 2
-            face_scale = grid.coords.scales(face)
-            weight = math.prod(face_scale.T) / (jac * face_scale[:, k] ** 2) * (wall != -s)
             faces = block[:k] + [block[k] + s * h / 2] + block[k + 1:]
-            c = delta * 0.5 * a_kk.eval(grid.coords.tensor(faces)) * weight / h**2
+            face_scale = grid.coords.scales(faces)
+            weight = math.prod(face_scale) / (jac * face_scale[k] ** 2) * (wall != -s)
+            a = a_kk.constant_value()
+            if a is None:
+                a = a_kk.eval(grid.coords.tensor(faces)).reshape(shape)
+            c = delta * 0.5 * a * weight / h**2
             stencil[along(k, s)] = c
             stencil[centre] -= c
         if drift is not None:  # centred; one-sided into the domain at a reflecting end
-            c = delta * drift[:, k] / ((2 - np.abs(wall)) * h)
+            c = delta * (drift[..., k] / scale[k]) / ((2 - np.abs(wall)) * h)
             for s in (1, -1):
-                stencil[along(k, s)] += s * c * (wall != -s)
+                stencil[along(k, s)] = stencil[along(k, s)] + s * c * (wall != -s)
                 one_sided = one_sided + s * c * (wall == -s)
     stencil[centre] += one_sided
     return stencil, v
@@ -411,7 +419,9 @@ def _columns(stencil, grid: Grid, ids):
     slot = np.full(grid.n_nodes, -1)
     slot[ids] = np.arange(len(ids))
     keep = slot[cols] >= 0
-    return sp.coo_matrix((np.concatenate(list(stencil.values()))[keep],
+    block = tuple(len(rows) for rows in grid.block)
+    values = np.concatenate([np.broadcast_to(c, block).ravel() for c in stencil.values()])
+    return sp.coo_matrix((values[keep],
                           (rows[keep], slot[cols[keep]])), shape=(len(grid.interior), len(ids)))
 
 
@@ -442,7 +452,7 @@ class DiscreteOperator:
     delta: float
     v: np.ndarray          # intensity at interior nodes
     w_all: np.ndarray      # mu weights over all nodes, sum 1
-    stencil: dict          # the local part as {offset: coefficients at the interior nodes}
+    stencil: dict          # the local part: {offset: arrays that broadcast to the interior block}
 
     @property
     def w_interior(self):
@@ -467,9 +477,8 @@ class DiscreteOperator:
         the products summed in ascending order of flat displacement (the offsets'
         lexicographic order) from the first one on, in 1D the order of a CSC
         product, bit for bit."""
-        x, block = self.grid.padded(values), tuple(len(rows) for rows in self.grid.block)
-        terms = (c.reshape(block) * x[self.grid.shifted(offset)]
-                 for offset, c in sorted(self.stencil.items()))
+        x = self.grid.padded(values)
+        terms = (c * x[self.grid.shifted(offset)] for offset, c in sorted(self.stencil.items()))
         out = next(terms)
         for term in terms:
             out += term
@@ -559,10 +568,11 @@ class _SeparableSolver:
                 or set(op.stencil) != set(offsets)):
             return None
         m0, m1 = (len(axis) for axis in grid.block)
-        block = np.stack([op.stencil[o] for o in offsets]).reshape(len(offsets), m0, m1)
+        entries = [np.atleast_2d(op.stencil[o]) for o in offsets]
         close = lambda a, b: np.all(np.abs(a - b) <= SEPARABLE_RTOL * np.abs(b))
-        lower, middle, upper, c, c_behind = block[..., 0]
-        if not (close(block, block[..., :1]) and close(c_behind, c)):
+        lower, middle, upper, c, c_behind = (np.broadcast_to(e[:, 0], m0) for e in entries)
+        # an entry with a length-1 axis 1 is the same at every j by construction
+        if not all(close(e, e[:, :1]) for e in entries if e.shape[1] > 1) or not close(c_behind, c):
             return None
         return cls((m0, m1), grid.periodic[1], lower, middle + 2 * c, upper, c)
 
@@ -744,8 +754,8 @@ def boundary_flux(u: GridFunction, coeffs: CoefficientSet) -> BoundaryFlux:
     ids = g.boundary
     nodes = g.points[ids]
     normals = g.boundary_normals
-    index, xi = np.unravel_index(ids, g.shape), g.coordinates[ids]
-    scale, units = g.coords.scales(xi), g.coords.units(xi)
+    index, units = np.unravel_index(ids, g.shape), g.coords.units(g.coordinates[ids])
+    scale = [np.broadcast_to(s, g.shape)[index] for s in g.coords.scales(g.axes)]
     grad = np.zeros(nodes.shape)
     taken = np.zeros(len(ids), dtype=bool)
     for k, (h, n) in enumerate(zip(g.spacing, g.shape)):
@@ -758,6 +768,6 @@ def boundary_flux(u: GridFunction, coeffs: CoefficientSet) -> BoundaryFlux:
         one_sided = s * (-3 * u.values[ids] + 4 * at(s) - at(2 * s)) / (2 * h)
         both = g.periodic[k] | ((index[k] > 0) & (index[k] < n - 1))
         centred = np.where(both, (at(1) - at(-1)) / (2 * h), 0.0)
-        grad += (np.where(normal, one_sided, centred) / scale[:, k])[:, None] * units[:, k]
+        grad += (np.where(normal, one_sided, centred) / scale[k])[:, None] * units[:, k]
     flux = np.einsum("ni,nij,nj->n", normals, coeffs.diffusion(nodes), grad)
     return BoundaryFlux(nodes, normals, flux)

@@ -308,6 +308,23 @@ def test_cli_too_few_grid_nodes_is_an_error_line(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--preset", "square-k0-uniform", "--delta", "1e-2", "--grid-n", "0"],
+    ["eigen", "--preset", "interval-k0-uniform", "--delta", "1e-2", "--grid-n", "-4"],
+    ["mc", "--preset", "interval-k0-uniform", "--delta", "0.2", "--paths", "20", "--workers", "0"],
+    ["mc", "--preset", "interval-k0-uniform", "--delta", "0.2", "--paths", "20",
+     "--workers", "-5"],
+    ["sweep", "--preset", "interval-k0-uniform", "--experiment", "exit-law", "--workers", "0"],
+], ids=["grid-n-0", "grid-n-negative", "workers-0", "workers-negative", "sweep-workers-0"])
+def test_cli_count_flags_below_their_least_value_are_error_lines(argv, tmp_path, capsys):
+    # --grid-n 0 fell back to the suggested grid, and --workers 0 ran serially
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    flag = "--grid-n must be at least 3" if "--grid-n" in argv else "--workers must be at least 1"
+    assert err.startswith(f"error: {flag}, got ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_grid_too_large_for_memory_is_an_error_line(tmp_path, capsys):
     # the square at 400,001 nodes per axis would ask for 2.3 TiB of grid coordinates
     argv = ["eigen", "--preset", "square-k0-uniform", "--delta", "1e-9", "--out", str(tmp_path)]

@@ -196,7 +196,8 @@ def test_rank_one_solve_is_exact_at_a_tiny_denominator():
 def test_singular_factor_is_a_solver_error():
     grid = fdm.build_grid(Domain.interval(0.0, 1.0), 4)
     op = fdm.assemble_operator(1.0, coeffs_1d(), grid)
-    zero = dataclasses.replace(op, stencil={o: np.zeros(2) for o in op.stencil})
+    # entries of length 1 broadcast over the 2-node interior, as a constant's do
+    zero = dataclasses.replace(op, stencil={o: np.zeros(1) for o in op.stencil})
     with pytest.raises(SolverError, match="singular"):
         fdm._LocalSolver(zero)
 
@@ -338,6 +339,11 @@ def _solver_case(case):
                 "annulus": "annulus-flux"}[case.split("-")[1]]
         spec = preset(name)
         return spec.coeffs, fdm.build_grid(spec.domain, 41, 32), 0.05
+    if case in FDM_2D_COPIES:  # the fdm-2d benchmark presets at its delta, on smaller grids
+        spec = preset(case.removeprefix("fdm-2d-"))
+        n, n_angular = {"square-k0-uniform": (81, None), "disk-k0-radial": (81, 64),
+                        "annulus-flux": (41, 64)}[spec.name]
+        return spec.coeffs, fdm.build_grid(spec.domain, n, n_angular), 1e-3
     if case == "separable-annulus-radial-V":  # V differs in its last bit from angle to angle
         spec = preset("annulus-flux")
         V = PolyField.from_dict(2, {(0, 0): 1.0, (2, 0): 1.0, (0, 2): 1.0})
@@ -373,6 +379,7 @@ def _rank_one_problem(case):
     return op, -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
 
 
+FDM_2D_COPIES = ["fdm-2d-square-k0-uniform", "fdm-2d-disk-k0-radial", "fdm-2d-annulus-flux"]
 ALL_CASES = ["separable-square", "separable-disk", "separable-annulus",
              "separable-annulus-radial-V", "separable-rectangle-V-of-x", "rectangle-a12",
              "disk-V-of-x", "square-drift-y", "disk-drift", "interval"]
@@ -443,6 +450,69 @@ def test_apply_matches_the_sparse_rows(case):
         assert np.array_equal(op.apply(boundary), B @ x[grid.boundary])
 
 
+def _stencil_per_node(delta, coeffs, grid):
+    """The local stencil of ``fdm._stencil`` node by node, flat over
+    ``grid.interior``: scale factors, face points, face weights, reflecting-end
+    masks and every coefficient evaluated at each interior node."""
+    d, me = len(grid.shape), grid.interior
+    index, xi, pts = np.unravel_index(me, grid.shape), grid.coordinates[me], grid.points[me]
+    polar = grid.family == "polar"
+    scales = lambda q: np.stack([np.ones(len(q)), q[:, 0]], axis=1) if polar else np.ones((1, d))
+    scale = scales(xi)
+    jac = math.prod(scale.T)
+    centre = (0,) * d
+    along = lambda k, s: tuple(s * (axis == k) for axis in range(d))
+    stencil = {centre: -coeffs.intensity.eval(pts)}
+    if d == 2 and (a12 := coeffs.diffusion.entry(0, 1)).constant_value() != 0.0:
+        c = delta * 0.5 / (4 * grid.spacing[0] * grid.spacing[1])
+        at = lambda p, q: me + p * grid.shape[1] + q
+        a = {pq: a12.eval(grid.points[at(*pq)]) for pq in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+        for p in (1, -1):
+            for q in (1, -1):
+                stencil[p, q] = c * p * q * (a[p, 0] + a[0, q])
+    bvals = np.stack([c.eval(pts) for c in coeffs.drift.components], axis=1)
+    drift = (np.einsum("...kj,...j->...k", grid.coords.units(xi), bvals) / scale
+             if np.any(bvals) else None)
+    one_sided = 0.0
+    for k, (h, n) in enumerate(zip(grid.spacing, grid.shape)):
+        wall = 0 if grid.periodic[k] or len(grid.dirichlet[k]) == 2 \
+            else (index[k] == 0).astype(int) - (index[k] == n - 1)
+        for s in (1, -1):
+            face = xi.copy()
+            face[:, k] += s * h / 2
+            face_scale = scales(face)
+            weight = math.prod(face_scale.T) / (jac * face_scale[:, k] ** 2) * (wall != -s)
+            a_kk = coeffs.diffusion.entry(k, k).eval(grid.coords.to_cartesian(face))
+            c = delta * 0.5 * a_kk * weight / h**2
+            stencil[along(k, s)] = c
+            stencil[centre] = stencil[centre] - c
+        if drift is not None:
+            c = delta * drift[:, k] / ((2 - np.abs(wall)) * h)
+            for s in (1, -1):
+                stencil[along(k, s)] = stencil[along(k, s)] + s * c * (wall != -s)
+                one_sided = one_sided + s * c * (wall == -s)
+    stencil[centre] = stencil[centre] + one_sided
+    return stencil
+
+
+@pytest.mark.parametrize("case", ALL_CASES + FDM_2D_COPIES)
+def test_stencil_matches_the_per_node_reference(case):
+    """Every stencil entry, broadcast to the interior block, is bit for bit the
+    per-node formula; on the fdm-2d presets each neighbour entry has one value
+    per index of axis 0 (length 1 along axis 1)."""
+    coeffs, grid, delta = _solver_case(case)
+    op = fdm.assemble_operator(delta, coeffs, grid)
+    reference = _stencil_per_node(delta, coeffs, grid)
+    block = tuple(len(rows) for rows in grid.block)
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    assert set(op.stencil) == set(reference)
+    for offset, c in op.stencil.items():
+        expected = reference[offset].reshape(block)
+        assert np.array_equal(bits(np.broadcast_to(c, block)), bits(expected)), offset
+    if case in FDM_2D_COPIES:
+        assert all(np.shape(c)[1] == 1 for offset, c in op.stencil.items() if any(offset))
+
+
 @pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-annulus"])
 def test_fast_diagonalization_builds_no_sparse_matrix(case, monkeypatch):
     coeffs, grid, delta = _solver_case(case)
@@ -463,8 +533,12 @@ def test_fast_diagonalization_builds_no_sparse_matrix(case, monkeypatch):
 
 
 def test_separable_solver_admits_last_bit_differences():
+    """V differs in its last bits from angle to angle, so the node's own entry
+    is the one that spans axis 1; the neighbours hold one value per radius."""
     op, _ = _rank_one_problem("separable-annulus-radial-V")
-    diag = op.stencil[0, 0].reshape(-1, op.grid.shape[1])
+    diag = op.stencil[0, 0]
+    assert diag.shape == tuple(len(rows) for rows in op.grid.block)
+    assert all(np.shape(c)[1] == 1 for offset, c in op.stencil.items() if any(offset))
     spread = np.max(np.abs(diag - diag[:, :1]) / np.abs(diag[:, :1]))
     assert 0 < spread <= fdm.SEPARABLE_RTOL
     assert isinstance(fdm._SeparableSolver.of(op), fdm._SeparableSolver)
@@ -474,7 +548,7 @@ def test_singular_separable_factor_is_a_solver_error():
     grid = fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 1.0), 6)
     op = fdm.assemble_operator(1.0, preset("square-k0-uniform").coeffs, grid)
     axis_offsets = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
-    zero = dataclasses.replace(op, stencil={o: np.zeros(len(grid.interior)) for o in axis_offsets})
+    zero = dataclasses.replace(op, stencil={o: np.zeros((1, 1)) for o in axis_offsets})
     with pytest.raises(SolverError, match="singular"):
         fdm._SeparableSolver.of(zero)
 
