@@ -17,11 +17,13 @@ per public solve), ``stencil_floats`` (the floats the assembled stencils hold,
 the summed ``.size`` of their entries: per axis where a coefficient varies
 along one axis only), ``sparse_builds`` (sparse A_loc matrices built from an
 operator's stencil, which only the sparse LU reads), ``factorizations``
-(sparse LUs, every one of them, the local factor of ``solve_no_jump_prob``
-included), ``lu_nnz`` (their L+U nonzeros summed), ``lu_nnz_max`` (the L+U
-nonzeros of the largest single factor), ``fast_setups`` (fast-diagonalization
-solvers set up in place of a sparse LU), ``solves`` (local solves with either
-kind) and ``eigen_iterations`` (inverse power iterations).
+(sparse LUs of 2D operators that do not separate, every one of them, the
+local factor of ``solve_no_jump_prob`` included), ``lu_nnz`` (their L+U
+nonzeros summed), ``lu_nnz_max`` (the L+U nonzeros of the largest single
+factor), ``fast_setups`` (``_SeparableSolver`` set-ups: fast diagonalization
+of a 2D operator that separates, and the tridiagonal factor of every 1D
+operator), ``solves`` (local solves with either kind) and
+``eigen_iterations`` (inverse power iterations).
 """
 from __future__ import annotations
 

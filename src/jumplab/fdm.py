@@ -22,17 +22,16 @@ rows of delta*G_h sum to zero, so A^{-1} v is u - 1 at the interior nodes.
 That mass is a sum of nonnegative terms and does not cancel as delta -> 0.
 There are two local solvers, and the stencil picks one:
 
-- fast diagonalization (``_SeparableSolver``) where the grid is 2D, the
-  stencil holds only the node and its axis neighbours, and along axis 1 (y
-  on a box, theta on a polar grid) it is symmetric and the same at every
-  index, as with constant coefficients or ones that vary with x or r only.
-  A is then a Kronecker sum; a solve is a sine or Fourier transform along
-  axis 1 and one tridiagonal solve per mode.  No sparse matrix is formed.
-- one sparse LU factorization for every other operator: all 1D grids, cross
-  terms a12, coefficients that vary along axis 1, and drift along it.  It
-  factors the unknowns in its own order: nested dissection taken from the
-  tensor shape in 2D, and row-major in 1D, where a tridiagonal matrix does
-  not fill.
+- fast diagonalization (``_SeparableSolver``) on every 1D grid, and on a 2D
+  grid where the stencil holds only the node and its axis neighbours, and
+  along axis 1 (y on a box, theta on a polar grid) it is symmetric and the
+  same at every index, as with constant coefficients or ones that vary with x
+  or r only.  A is then a Kronecker sum; a solve is a sine or Fourier
+  transform along axis 1 and one tridiagonal solve per mode, and in 1D one
+  tridiagonal solve.  No sparse matrix is formed.
+- one sparse LU factorization for every other 2D operator: cross terms a12,
+  coefficients that vary along axis 1, and drift along it.  It factors the
+  unknowns in nested-dissection order, taken from the tensor shape.
 Vector dots and norms go through ``reductions.dot``.  Assembly enforces
 h <= 0.5 * sqrt(delta a_min / V_max), which resolves the boundary layer of
 width ~ sqrt(delta a / V), along every axis with Dirichlet ends unless
@@ -185,7 +184,7 @@ ND_MIN_WIDTH = 3
 def _nested_dissection(grid):
     """The sparse LU's order of a 2D interior, as positions in the row-major
     interior block: nested dissection, a block's two halves, then the line
-    between them.  None in 1D, where a tridiagonal matrix does not fill.
+    between them.
 
     A box bisects its longer axis (across the rows on a tie) until it is under
     ND_MIN_WIDTH nodes wide; such a leaf is row-major.  On a periodic second
@@ -195,8 +194,6 @@ def _nested_dissection(grid):
     its shape alone, so each shape is ordered once, as offsets from the
     block's first node: one or two shapes per level of the tree.
     """
-    if len(grid.shape) != 2:
-        return None
     rows, width = (len(axis) for axis in grid.block)
     half = width // 2
 
@@ -495,22 +492,18 @@ def assemble_operator(delta, coeffs: CoefficientSet, grid: Grid,
 
 
 class _LocalSolver:
-    """One sparse LU factorization (``lu``) of P A P^T in that column order, A an
-    operator's local part and P the grid's nested-dissection ``order`` (None in
-    1D: P = I).  A solve permutes the right-hand side and the solution."""
+    """One sparse LU factorization (``lu``) of P A P^T in that column order, A a
+    2D operator's local part and P the grid's nested-dissection ``order``.  A
+    solve permutes the right-hand side and the solution."""
 
     def __init__(self, op: DiscreteOperator):
-        A, self.order = op.A_loc, _nested_dissection(op.grid)
-        if self.order is not None:
-            A = A[self.order][:, self.order]
+        self.order = _nested_dissection(op.grid)
         try:
-            self.lu = spla.splu(A.tocsc(), permc_spec="NATURAL")
+            self.lu = spla.splu(op.A_loc[self.order][:, self.order].tocsc(), permc_spec="NATURAL")
         except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"sparse LU failed: {err}") from err
 
     def solve(self, rhs):
-        if self.order is None:
-            return self.lu.solve(rhs)
         x = np.empty_like(rhs)
         x[self.order] = self.lu.solve(rhs[self.order])
         return x
@@ -532,7 +525,8 @@ def _dst1(x):
 
 
 class _SeparableSolver:
-    """Fast diagonalization of a 2D local part that separates along axis 1.
+    """Fast diagonalization of a local part that separates along axis 1, and the
+    tridiagonal solve of a 1D local part, the case with no axis 1.
 
     With the row-major interior as an m0 x m1 block (i, j), A must couple
     only axis neighbours, and every coefficient of its stencil must be
@@ -541,31 +535,43 @@ class _SeparableSolver:
     difference in j: Dirichlet across a box axis, periodic around a ring.  A
     solve transforms along j into the eigenvectors of T (sines, DST-I, or
     Fourier modes), makes one tridiagonal solve B + lambda_j diag(c) per mode,
-    and transforms back (Lynch, Rice & Thomas 1964).  The tridiagonal systems
-    are stacked mode after mode into one, factored once by LAPACK ``gttrf``.
+    and transforms back (Lynch, Rice & Thomas 1964).  In 1D, A = B: one mode,
+    lambda = 0, and no transform.  The tridiagonal systems are stacked mode
+    after mode into one, factored once by LAPACK ``gttrf`` (banded LU with
+    partial pivoting).
     """
 
     def __init__(self, shape, periodic, lower, middle, upper, coupling):
-        m0, m1 = self.shape = shape
-        self.periodic = periodic
-        if periodic:  # real Fourier modes j = 0 .. m1/2, real and imaginary parts
+        self.shape, self.periodic = shape, periodic
+        m0, m1 = shape[0], math.prod(shape[1:])
+        if len(shape) == 1:  # no axis 1: one mode
+            lam = np.zeros(1)
+        elif periodic:  # real Fourier modes j = 0 .. m1/2, real and imaginary parts
             lam = -4 * np.sin(math.pi * np.arange(m1 // 2 + 1) / m1) ** 2
         else:  # sines j = 1 .. m1
             lam = -4 * np.sin(math.pi * np.arange(1, m1 + 1) / (2 * (m1 + 1))) ** 2
         bands = np.zeros((2, len(lam), m0))  # sub- and superdiagonal, 0 between modes
         bands[0, :, :-1], bands[1, :, :-1] = lower[1:], upper[:-1]
-        *self.factors, info = lapack.dgttrf(bands[0].ravel()[:-1],
-                                            (middle + lam[:, None] * coupling).ravel(),
-                                            bands[1].ravel()[:-1])
+        # scipy's gttrf and gttrs take no system under 3 rows: decoupled rows of 1 fill it up
+        pad = np.zeros(max(0, 3 - bands[0].size))
+        dl, du = (np.append(band, pad)[:-1] for band in bands)
+        d = np.append(middle + lam[:, None] * coupling, pad + 1)
+        *self.factors, info = lapack.dgttrf(dl, d, du)
+        self.pad = len(pad)
         if info > 0:
-            raise SolverError("fast-diagonalization factor is exactly singular")
+            raise SolverError("tridiagonal factor is exactly singular")
 
     @classmethod
     def of(cls, op: DiscreteOperator):
-        """The solver read from ``op``'s stencil, or None where the stencil does not separate."""
-        grid, offsets = op.grid, ((-1, 0), (0, 0), (1, 0), (0, 1), (0, -1))
-        if (len(grid.shape) != 2 or not (grid.periodic[1] or len(grid.dirichlet[1]) == 2)
-                or set(op.stencil) != set(offsets)):
+        """The solver read from ``op``'s stencil, or None where the stencil does not
+        separate.  A 1D stencil always does: it holds the offsets -1, 0 and +1 only."""
+        grid = op.grid
+        if len(grid.shape) == 1:
+            m0 = len(grid.block[0])
+            lower, middle, upper = (np.broadcast_to(op.stencil[(s,)], m0) for s in (-1, 0, 1))
+            return cls((m0,), False, lower, middle, upper, 0.0)
+        offsets = ((-1, 0), (0, 0), (1, 0), (0, 1), (0, -1))
+        if not (grid.periodic[1] or len(grid.dirichlet[1]) == 2) or set(op.stencil) != set(offsets):
             return None
         m0, m1 = (len(axis) for axis in grid.block)
         entries = [np.atleast_2d(op.stencil[o]) for o in offsets]
@@ -576,7 +582,14 @@ class _SeparableSolver:
             return None
         return cls((m0, m1), grid.periodic[1], lower, middle + 2 * c, upper, c)
 
+    def _stacked_solve(self, b):
+        """The stacked systems solved for the rows of ``b`` (k x n), which it may overwrite."""
+        padded = np.pad(b, ((0, 0), (0, self.pad))) if self.pad else b
+        return lapack.dgttrs(*self.factors, padded.T, overwrite_b=1)[0].T[:, :b.shape[1]]
+
     def solve(self, rhs):
+        if len(self.shape) == 1:
+            return self._stacked_solve(np.array(rhs, ndmin=2))[0]
         m0, m1 = self.shape
         x = rhs.reshape(m0, m1)
         if self.periodic:
@@ -584,8 +597,7 @@ class _SeparableSolver:
             modes = np.stack([f.real, f.imag])
         else:
             modes = np.ascontiguousarray(_dst1(x).T)[None]
-        y = lapack.dgttrs(*self.factors, modes.reshape(len(modes), -1).T, overwrite_b=1)[0]
-        y = y.T.reshape(modes.shape)
+        y = self._stacked_solve(modes.reshape(len(modes), -1)).reshape(modes.shape)
         if self.periodic:
             x = np.fft.irfft((y[0] + 1j * y[1]).T, n=m1, axis=1)
         else:

@@ -79,6 +79,11 @@ STATUS_JUMPED = 2  # only in stop-at-first-jump mode
 NEVER = 2**62
 
 
+def _require_count(name, value, least):
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     delta: float
@@ -91,10 +96,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name, least in (("n_paths", 1), ("chunk_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-                    and value >= least):
-                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+            _require_count(name, getattr(self, name), least)
         for name in ("delta", "dt", "horizon"):
             value = getattr(self, name)
             if name == "horizon" and value is None:
@@ -520,8 +522,10 @@ def simulate_ensemble(coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
 
     ``workers`` only distributes chunks over processes; results are identical
     for any worker count and execution order.  An ``x0`` farther than the
-    boundary tolerance outside the domain raises ValidationError.
+    boundary tolerance outside the domain, or ``workers`` not an integer >= 1,
+    raises ValidationError.
     """
+    _require_count("workers", workers, 1)
     if x0 is not None:
         domain.require_inside(x0, "x0")
     sampler = MuSampler(coeffs, domain)

@@ -185,7 +185,7 @@ def test_rank_one_solve_is_exact_at_a_tiny_denominator():
     fb = spec.coeffs.boundary_data.eval(grid.points[grid.boundary])
     rhs = -(op.B_bc @ fb) - op.v * (op.w_boundary @ fb)
     solver = fdm.RankOneSolver(op)
-    assert isinstance(solver.local, fdm._LocalSolver)
+    assert isinstance(solver.local, fdm._SeparableSolver)
     x_ref, denom_ref = _thomas_sherman_morrison(op, rhs)
     assert denom_ref < 1e-5
     assert float(abs(solver.denom - denom_ref) / denom_ref) <= 1e-10
@@ -199,7 +199,7 @@ def test_singular_factor_is_a_solver_error():
     # entries of length 1 broadcast over the 2-node interior, as a constant's do
     zero = dataclasses.replace(op, stencil={o: np.zeros(1) for o in op.stencil})
     with pytest.raises(SolverError, match="singular"):
-        fdm._LocalSolver(zero)
+        fdm._SeparableSolver.of(zero)
 
 
 @pytest.mark.parametrize("name,n,n_angular", [
@@ -260,7 +260,7 @@ def _nested_dissection_reference(grid):
         "annulus-8", "annulus-64"])
 def test_interior_order_is_a_permutation_of_the_non_boundary_ids(domain, n, n_angular):
     """The interior is row-major; the sparse LU factors it in nested-dissection
-    order in 2D and in that order in 1D."""
+    order in 2D, and a 1D grid takes the tridiagonal solve in that order."""
     grid = fdm.build_grid(domain, n, n_angular)
     index = np.unravel_index(np.arange(grid.n_nodes), grid.shape)
     on_bdy = np.zeros(grid.n_nodes, dtype=bool)
@@ -271,10 +271,11 @@ def test_interior_order_is_a_permutation_of_the_non_boundary_ids(domain, n, n_an
     assert np.array_equal(fdm.build_grid(domain, n, n_angular).interior, grid.interior)
     coeffs = (coeffs_1d() if domain.dim == 1 else _coeffs_2d() if grid.family == "box"
               else preset("disk-k0-radial").coeffs)
-    lu = fdm._LocalSolver(fdm.assemble_operator(10.0, coeffs, grid))
+    op = fdm.assemble_operator(10.0, coeffs, grid)
     if domain.dim == 1:
-        assert lu.order is None
+        assert isinstance(fdm._SeparableSolver.of(op), fdm._SeparableSolver)
     else:
+        lu = fdm._LocalSolver(op)
         assert np.array_equal(grid.interior[lu.order], _nested_dissection_reference(grid))
 
 
@@ -311,7 +312,7 @@ def test_solves_do_not_depend_on_the_interior_order(case, monkeypatch):
         return fdm.principal_eigenvalue(delta, coeffs, grid), phi, u, fdm.boundary_flux(u, coeffs)
 
     eig, phi, u, flux = solve()
-    monkeypatch.setattr(fdm, "_nested_dissection", lambda grid: None)
+    monkeypatch.setattr(fdm, "_nested_dissection", _row_major)
     eig_sorted, phi_sorted, u_sorted, flux_sorted = solve()
     diag = fdm.assemble_local(delta, coeffs, grid)[0].diagonal()
     floor = 32 * np.finfo(float).eps * np.max(np.abs(diag))
@@ -320,6 +321,12 @@ def test_solves_do_not_depend_on_the_interior_order(case, monkeypatch):
     assert close(phi.values, phi_sorted.values)
     assert close(u.values, u_sorted.values)
     assert close(flux.values, flux_sorted.values)
+
+
+def _row_major(grid):
+    """The identity permutation of the interior: the sparse LU in the row-major
+    order of the unknowns."""
+    return np.arange(len(grid.interior))
 
 
 def _coeffs_2d(a11=None, V=None, b=(0.0, 0.0)):
@@ -368,6 +375,8 @@ def _solver_case(case):
     if case == "square-drift-y":  # drift along axis 1 makes its stencil unsymmetric
         return (_coeffs_2d(b=(0.0, 0.7)),
                 fdm.build_grid(Domain.rectangle(0.0, 0.0, 1.0, 1.0), 41), 0.05)
+    if case == "interval-drift":  # cell Peclet number |b| h / a = 3: gttrf must pivot
+        return (coeffs_1d(b=const(1, -60.0)), fdm.build_grid(Domain.interval(0.0, 1.0), 21), 0.05)
     spec = preset("interval-k0-asym")
     return spec.coeffs, fdm.build_grid(spec.domain, 101), 0.05
 
@@ -382,7 +391,7 @@ def _rank_one_problem(case):
 FDM_2D_COPIES = ["fdm-2d-square-k0-uniform", "fdm-2d-disk-k0-radial", "fdm-2d-annulus-flux"]
 ALL_CASES = ["separable-square", "separable-disk", "separable-annulus",
              "separable-annulus-radial-V", "separable-rectangle-V-of-x", "rectangle-a12",
-             "disk-V-of-x", "square-drift-y", "disk-drift", "interval"]
+             "disk-V-of-x", "square-drift-y", "disk-drift", "interval", "interval-drift"]
 
 
 @pytest.mark.parametrize("order", ["nested-dissection", "sorted"])
@@ -394,23 +403,57 @@ def test_separable_solver_matches_lu(case, order, monkeypatch):
     op, rhs = _rank_one_problem(case)
     fast = fdm.RankOneSolver(op)
     if order == "sorted":
-        monkeypatch.setattr(fdm, "_nested_dissection", lambda grid: None)
+        monkeypatch.setattr(fdm, "_nested_dissection", _row_major)
     lu = fdm._LocalSolver(op)
-    assert (lu.order is None) == (order == "sorted")
+    assert np.array_equal(lu.order, _row_major(op.grid)) == (order == "sorted")
     assert isinstance(fast.local, fdm._SeparableSolver)
     dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
     for x, ref in ((fast.local.solve(rhs), lu.solve(rhs)), (fast.solve(rhs), dense)):
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("case", ["rectangle-a12", "disk-V-of-x", "square-drift-y", "disk-drift",
-                                  "interval"])
+@pytest.mark.parametrize("case", ["rectangle-a12", "disk-V-of-x", "square-drift-y", "disk-drift"])
 def test_operators_that_do_not_separate_take_the_lu_path(case):
     op, rhs = _rank_one_problem(case)
     solver = fdm.RankOneSolver(op)
     assert isinstance(solver.local, fdm._LocalSolver)
     dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
     assert np.max(np.abs(solver.solve(rhs) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("case", ["interval", "interval-drift"])
+def test_1d_operators_take_the_tridiagonal_solve(case):
+    """A 1D local part is the fast path's case with no axis 1: one tridiagonal
+    system, no transform and no sparse LU.  With the drift, partial pivoting
+    swaps rows."""
+    op, rhs = _rank_one_problem(case)
+    solver = fdm.RankOneSolver(op)
+    assert isinstance(solver.local, fdm._SeparableSolver)
+    ipiv = solver.local.factors[-1]  # 1-based row of each pivot
+    assert np.array_equal(ipiv, np.arange(1, len(ipiv) + 1)) == (case == "interval")
+    dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
+    given = rhs.copy()
+    assert np.max(np.abs(solver.solve(rhs) - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.array_equal(rhs, given)
+
+
+@pytest.mark.parametrize("domain,n", [
+    (Domain.interval(0.0, 1.0), 3), (Domain.interval(0.0, 1.0), 4),
+    (Domain.rectangle(0.0, 0.0, 1.0, 1.0), (3, 3)), (Domain.rectangle(0.0, 0.0, 1.0, 1.0), (3, 4)),
+    (Domain.rectangle(0.0, 0.0, 1.0, 1.0), (4, 3))], ids=["interval-3", "interval-4", "rect-3x3",
+                                                         "rect-3x4", "rect-4x3"])
+def test_tridiagonal_solve_of_fewer_than_three_unknowns(domain, n):
+    """One or two unknowns in all: scipy's gttrf and gttrs take at least three
+    rows, and decoupled rows fill the system up."""
+    coeffs = coeffs_1d() if domain.dim == 1 else _coeffs_2d()
+    grid = fdm.build_grid(domain, n)
+    op = fdm.assemble_operator(1.0, coeffs, grid)
+    solver = fdm.RankOneSolver(op)
+    assert isinstance(solver.local, fdm._SeparableSolver)
+    rhs = np.arange(1.0, len(grid.interior) + 1)
+    dense = np.linalg.solve(op.A_loc.toarray() + np.outer(op.v, op.w_interior), rhs)
+    assert np.max(np.abs(solver.solve(rhs) - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert fdm.principal_eigenvalue(1.0, coeffs, grid).lambda0 > 0
 
 
 @pytest.mark.parametrize("case", ALL_CASES)

@@ -554,6 +554,22 @@ def test_sim_config_takes_numpy_integers():
     assert mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, x0=np.array([0.5])).n_paths == 10
 
 
+@pytest.mark.parametrize("workers", [0, -5, True])
+def test_simulate_ensemble_rejects_a_bad_worker_count(workers, monkeypatch):
+    # the count is checked before the sampler is built
+    monkeypatch.setattr(mc, "MuSampler", lambda *args: pytest.fail("sampler built"))
+    spec = preset("interval-k0-uniform")
+    cfg = mc.SimConfig(delta=0.05, dt=1e-4, n_paths=50, seed=1)
+    with pytest.raises(ValidationError, match="workers"):
+        mc.simulate_ensemble(spec.coeffs, spec.domain, cfg, workers=workers)
+
+
+def test_compare_no_jump_probability_rejects_zero_workers():
+    cfg = mc.SimConfig(delta=0.05, dt=5e-4, n_paths=50, seed=21, exit_mode="bridge-1d")
+    with pytest.raises(ValidationError, match="workers"):
+        compare_no_jump_probability(preset("interval-k0-uniform"), mc_config=cfg, workers=0)
+
+
 @pytest.mark.parametrize("mode", ["first-crossing", "bridge-1d"])
 def test_start_outside_is_rejected_and_on_the_boundary_exits_at_once(mode):
     spec = preset("interval-k0-uniform")
