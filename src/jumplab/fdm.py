@@ -536,7 +536,7 @@ class _SeparableSolver:
     solve transforms along j into the eigenvectors of T (sines, DST-I, or
     Fourier modes), makes one tridiagonal solve B + lambda_j diag(c) per mode,
     and transforms back (Lynch, Rice & Thomas 1964).  In 1D, A = B: one mode,
-    lambda = 0, and no transform.  The tridiagonal systems are stacked mode
+    coupling 0, and no transform.  The tridiagonal systems are stacked mode
     after mode into one, factored once by LAPACK ``gttrf`` (banded LU with
     partial pivoting).
     """
@@ -544,9 +544,8 @@ class _SeparableSolver:
     def __init__(self, shape, periodic, lower, middle, upper, coupling):
         self.shape, self.periodic = shape, periodic
         m0, m1 = shape[0], math.prod(shape[1:])
-        if len(shape) == 1:  # no axis 1: one mode
-            lam = np.zeros(1)
-        elif periodic:  # real Fourier modes j = 0 .. m1/2, real and imaginary parts
+        # in 1D (coupling 0) the one sine mode's lambda adds -0.0: A = B bit for bit
+        if periodic:  # real Fourier modes j = 0 .. m1/2, real and imaginary parts
             lam = -4 * np.sin(math.pi * np.arange(m1 // 2 + 1) / m1) ** 2
         else:  # sines j = 1 .. m1
             lam = -4 * np.sin(math.pi * np.arange(1, m1 + 1) / (2 * (m1 + 1))) ** 2
