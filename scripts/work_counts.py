@@ -24,6 +24,11 @@ factor), ``fast_setups`` (``_SeparableSolver`` set-ups: fast diagonalization
 of a 2D operator that separates, and the tridiagonal factor of every 1D
 operator), ``solves`` (local solves with either kind) and
 ``eigen_iterations`` (inverse power iterations).
+
+Start-up: ``setup_scipy_modules``, the ``scipy`` modules this interpreter
+holds after importing jumplab and building the workload, before any
+operation runs.  Only a local-solver set-up imports scipy, so it reads 0 on
+the Monte Carlo workloads.
 """
 from __future__ import annotations
 
@@ -41,9 +46,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 from jumplab import fdm, mc  # noqa: E402
 import workloads  # noqa: E402
 
-COUNTS = ["paths", "nominal_steps", "lockstep_span", "lane_steps", "iterations",
-          "assemblies", "stencil_floats", "sparse_builds", "factorizations", "lu_nnz",
-          "lu_nnz_max", "fast_setups", "solves", "eigen_iterations"]
+COUNTS = ["setup_scipy_modules", "paths", "nominal_steps", "lockstep_span", "lane_steps",
+          "iterations", "assemblies", "stencil_floats", "sparse_builds", "factorizations",
+          "lu_nnz", "lu_nnz_max", "fast_setups", "solves", "eigen_iterations"]
 
 
 def main(argv=None):
@@ -112,7 +117,9 @@ def main(argv=None):
     fdm._LocalSolver, fdm._SeparableSolver = CountedLU, CountedSeparable
     fdm.DiscreteOperator.A_loc = counted_a_loc
     try:
-        for op in workloads.WORKLOADS[args.workload](args.seed).ops():
+        workload = workloads.WORKLOADS[args.workload](args.seed)
+        counts["setup_scipy_modules"] = sum(name.split(".")[0] == "scipy" for name in sys.modules)
+        for op in workload.ops():
             op.call()
     finally:
         mc.simulate_ensemble, fdm.principal_eigenvalue = simulate, eigen

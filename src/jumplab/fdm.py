@@ -36,6 +36,11 @@ Vector dots and norms go through ``reductions.dot``.  Assembly enforces
 h <= 0.5 * sqrt(delta a_min / V_max), which resolves the boundary layer of
 width ~ sqrt(delta a / V), along every axis with Dirichlet ends unless
 overridden.
+
+scipy is imported where a local solver is set up (LAPACK's tridiagonal
+routines; SuperLU and scipy.sparse for the LU), not with this module, so it
+loads at the first FDM set-up: Monte Carlo, theory and problem validation
+never load it.
 """
 from __future__ import annotations
 
@@ -46,9 +51,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .errors import SolverError, ValidationError
 from .fields import CoefficientSet
@@ -410,6 +412,7 @@ def _stencil(delta, coeffs: CoefficientSet, grid: Grid, allow_coarse):
 def _columns(stencil, grid: Grid, ids):
     """The rows of ``stencil`` at the node columns ``ids`` (sorted flat ids), as COO:
     each offset's neighbours taken as ``DiscreteOperator.apply`` takes them."""
+    import scipy.sparse as sp
     nodes = grid.padded(np.arange(grid.n_nodes))
     cols = np.concatenate([nodes[grid.shifted(offset)].ravel() for offset in stencil])
     rows = np.tile(np.arange(len(grid.interior)), len(stencil))
@@ -460,13 +463,13 @@ class DiscreteOperator:
         return self.w_all[self.grid.boundary]
 
     @functools.cached_property
-    def A_loc(self) -> sp.csc_matrix:
-        """Interior x interior."""
+    def A_loc(self):
+        """Interior x interior, a scipy.sparse CSC matrix."""
         return _columns(self.stencil, self.grid, self.grid.interior).tocsc()
 
     @functools.cached_property
-    def B_bc(self) -> sp.csr_matrix:
-        """Interior x boundary."""
+    def B_bc(self):
+        """Interior x boundary, a scipy.sparse CSR matrix."""
         return _columns(self.stencil, self.grid, self.grid.boundary).tocsr()
 
     def apply(self, values):
@@ -497,6 +500,7 @@ class _LocalSolver:
     solve permutes the right-hand side and the solution."""
 
     def __init__(self, op: DiscreteOperator):
+        import scipy.sparse.linalg as spla
         self.order = _nested_dissection(op.grid)
         try:
             self.lu = spla.splu(op.A_loc[self.order][:, self.order].tocsc(), permc_spec="NATURAL")
@@ -542,6 +546,7 @@ class _SeparableSolver:
     """
 
     def __init__(self, shape, periodic, lower, middle, upper, coupling):
+        from scipy.linalg import lapack
         self.shape, self.periodic = shape, periodic
         m0, m1 = shape[0], math.prod(shape[1:])
         # in 1D (coupling 0) the one sine mode's lambda adds -0.0: A = B bit for bit
@@ -556,6 +561,7 @@ class _SeparableSolver:
         dl, du = (np.append(band, pad)[:-1] for band in bands)
         d = np.append(middle + lam[:, None] * coupling, pad + 1)
         *self.factors, info = lapack.dgttrf(dl, d, du)
+        self.gttrs = lapack.dgttrs
         self.pad = len(pad)
         if info > 0:
             raise SolverError("tridiagonal factor is exactly singular")
@@ -584,7 +590,7 @@ class _SeparableSolver:
     def _stacked_solve(self, b):
         """The stacked systems solved for the rows of ``b`` (k x n), which it may overwrite."""
         padded = np.pad(b, ((0, 0), (0, self.pad))) if self.pad else b
-        return lapack.dgttrs(*self.factors, padded.T, overwrite_b=1)[0].T[:, :b.shape[1]]
+        return self.gttrs(*self.factors, padded.T, overwrite_b=1)[0].T[:, :b.shape[1]]
 
     def solve(self, rhs):
         if len(self.shape) == 1:

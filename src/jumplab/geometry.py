@@ -451,8 +451,7 @@ class Ring(Domain):
         else:
             r, wr = _trapezoid(self.r_inner, self.r_outer, n, end_corrected)
         th = 2 * math.pi * np.arange(n) / n
-        R, TH = np.meshgrid(r, th, indexing="ij")
-        X = self.origin[0] + R * np.cos(TH)
-        Y = self.origin[1] + R * np.sin(TH)
+        X = self.origin[0] + r[:, None] * np.cos(th)
+        Y = self.origin[1] + r[:, None] * np.sin(th)
         W = np.outer(wr * r, np.full(n, 2 * math.pi / n))
         return InteriorQuadrature(np.stack([X.ravel(), Y.ravel()], axis=1), W.ravel())

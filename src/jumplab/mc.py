@@ -56,7 +56,6 @@ changing it reshuffles the randomness exactly like changing the seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -543,6 +542,7 @@ def simulate_ensemble(coeffs: CoefficientSet, domain: Domain, cfg: SimConfig,
     if workers <= 1 or n_chunks == 1:
         results = [_chunk_task(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             results = list(pool.map(_chunk_task, tasks))
     lane_steps = iterations = 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumplab import Domain, GeometryError
+from jumplab.geometry import _trapezoid
 
 ALL_DOMAINS = [
     Domain.interval(0.0, 1.0),
@@ -99,6 +100,37 @@ def test_boundary_quadrature_refinement(dom):
 def test_interior_quadrature_volume(dom):
     iq = dom.interior_quadrature(200)
     assert abs(iq.weights.sum() - dom.volume) <= 1e-6 * dom.volume
+
+
+def _ring_quadrature_on_a_meshgrid(dom, n, end_corrected):
+    """The polar rule with cos and sin taken over the full (r, theta) meshgrid."""
+    if end_corrected and dom.has_inner:
+        mid = (dom.r_inner + dom.r_outer) / 2
+        (r, wr), (r2, wr2) = (_trapezoid(lo, hi, n // 2 + 1, True)
+                              for lo, hi in ((dom.r_inner, mid), (mid, dom.r_outer)))
+        wr[-1] += wr2[0]
+        r, wr = np.concatenate([r, r2[1:]]), np.concatenate([wr, wr2[1:]])
+    else:
+        r, wr = _trapezoid(dom.r_inner, dom.r_outer, n, end_corrected)
+    th = 2 * math.pi * np.arange(n) / n
+    R, TH = np.meshgrid(r, th, indexing="ij")
+    X = dom.origin[0] + R * np.cos(TH)
+    Y = dom.origin[1] + R * np.sin(TH)
+    W = np.outer(wr * r, np.full(n, 2 * math.pi / n))
+    return np.stack([X.ravel(), Y.ravel()], axis=1), W.ravel()
+
+
+# the annulus's end-corrected rule splits at the mid radius and needs n >= 10
+@pytest.mark.parametrize("dom, n, end_corrected", [
+    (dom, n, end_corrected)
+    for dom in (Domain.disk(0.3, -0.2, 0.7), Domain.annulus(0.1, 0.2, 0.4, 1.3))
+    for n in (8, 80, 1000) for end_corrected in (False, True)
+    if not (end_corrected and dom.has_inner and n < 10)], ids=repr)
+def test_ring_quadrature_is_bitwise_the_meshgrid_rule(dom, n, end_corrected):
+    nodes, weights = _ring_quadrature_on_a_meshgrid(dom, n, end_corrected)
+    iq = dom.interior_quadrature(n, end_corrected)
+    assert np.array_equal(iq.nodes.view(np.uint64), nodes.view(np.uint64))
+    assert np.array_equal(iq.weights.view(np.uint64), weights.view(np.uint64))
 
 
 @pytest.mark.parametrize("dom", ALL_DOMAINS, ids=repr)
