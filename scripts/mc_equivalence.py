@@ -16,7 +16,11 @@ point in 16 equal bins of the boundary coordinate crossed with its component,
 by a chi-squared contingency test; the exit coordinate and the exit time (of
 exited paths) and the jump count by the two-sample Kolmogorov-Smirnov test.
 Exit times and jump counts are on a lattice, and in 1D the exit coordinate
-takes two values, where KS is conservative.
+takes two values, where KS is conservative.  It also says, per case, whether
+the two files are equal field for field (every per-path array and work count,
+bit for bit).  Run both sides at the same seed to check a change that must not
+move a single draw, such as a performance change: equal files for every case
+are that check, and the p-values then read 1.
 
 The cases, all at delta = 0.05:
 
@@ -142,23 +146,32 @@ def pvalues(a, b, edges):
             "jumps": float(ks_2samp(a["jump_counts"], b["jump_counts"]).pvalue)}
 
 
+def _same(x, y):
+    """Whether two arrays are equal bit for bit, in dtype and shape too."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def compare(args):
     sides = [np.load(p) for p in (args.a, args.b)]
     rows = []
     print(f"{'case':34s} " + " ".join(f"{s[:8]:>8s}" for s in STATISTICS)
-          + "   lane_steps A -> B")
+          + "   equal   lane_steps A -> B")
     for label, *_ in cases():
-        a, b = ({k: s[f"{label}/{k}"] for k in FIELDS + WORK} for s in sides)
-        p = pvalues(a, b, sides[0][f"{label}/edges"])
-        rows.append({"case": label, "pvalues": p,
+        a, b = ({k: s[f"{label}/{k}"] for k in FIELDS + WORK + ["edges"]} for s in sides)
+        p = pvalues(a, b, a["edges"])
+        equal = all(_same(a[k], b[k]) for k in a)
+        rows.append({"case": label, "pvalues": p, "equal": equal,
                      "work": {k: [int(a[k]), int(b[k])] for k in WORK}})
         print(f"{label:34s} " + " ".join(f"{v:8.3g}" for v in p.values())
-              + f"   {int(a['lane_steps'])} -> {int(b['lane_steps'])}")
+              + f"   {'yes' if equal else 'no':5s}   {int(a['lane_steps'])} -> "
+              f"{int(b['lane_steps'])}")
     smallest = min(min(r["pvalues"].values()) for r in rows)
+    n_equal = sum(r["equal"] for r in rows)
     print(f"smallest of {len(STATISTICS) * len(rows)} p-values: {smallest:.3g}")
+    print(f"cases equal field for field: {n_equal} of {len(rows)}")
     if args.json:
-        Path(args.json).write_text(json.dumps({"rows": rows, "min_pvalue": smallest},
-                                              indent=1) + "\n")
+        Path(args.json).write_text(json.dumps({"rows": rows, "min_pvalue": smallest,
+                                               "equal_cases": n_equal}, indent=1) + "\n")
 
 
 def main(argv=None):
@@ -170,7 +183,8 @@ def main(argv=None):
     r.add_argument("--paths", type=int, default=100_000)
     r.add_argument("--out", required=True, help=".npz file for the per-path outcomes")
     r.set_defaults(fn=run)
-    c = sub.add_parser("compare", help="two-sample p-values of two runs")
+    c = sub.add_parser("compare",
+                       help="two-sample p-values of two runs, and whether they are equal")
     c.add_argument("a")
     c.add_argument("b")
     c.add_argument("--json", help="also write the table as JSON")

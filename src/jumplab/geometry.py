@@ -250,9 +250,14 @@ class Box(Domain):
         sd = None
         for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             g = np.minimum(pts[:, k] - lo, hi - pts[:, k])
+            if sd is None:
+                sd = g
+                continue
             # outside two faces at once, the nearest boundary point is their corner
-            sd = g if sd is None else np.where((sd < 0) & (g < 0), -np.hypot(sd, g),
-                                               np.minimum(sd, g))
+            corner = np.flatnonzero((sd < 0) & (g < 0))
+            out = np.minimum(sd, g)
+            out[corner] = -np.hypot(sd[corner], g[corner])
+            sd = out
         return sd
 
     def _nearest_face(self, pts):
@@ -385,20 +390,29 @@ class Ring(Domain):
         return np.array(self.origin)
 
     def _signed_distance(self, pts):
-        rho = np.hypot(pts[:, 0] - self.origin[0], pts[:, 1] - self.origin[1])
-        sd = self.r_outer - rho
-        return np.minimum(rho - self.r_inner, sd) if self.has_inner else sd
+        # sqrt(dx^2 + dy^2) rather than np.hypot, which costs several times more;
+        # a square overflows only past |dx| ~ 1e154, where the distance reads -inf,
+        # still outside, and an underflowing one is below any radius's last digit
+        rho = pts[:, 0] - self.origin[0]
+        rho *= rho
+        dy = pts[:, 1] - self.origin[1]
+        dy *= dy
+        rho += dy
+        np.sqrt(rho, out=rho)
+        inner = rho - self.r_inner if self.has_inner else None
+        sd = np.subtract(self.r_outer, rho, out=rho)
+        return sd if inner is None else np.minimum(inner, sd, out=sd)
 
     def _project(self, pts):
         v = pts - self.origin
         rho = np.linalg.norm(v, axis=1, keepdims=True)
+        target = self.r_outer
+        if self.has_inner:  # the nearer circle, chosen before rho is touched below
+            target = np.where(np.abs(rho - self.r_inner) <= np.abs(rho - self.r_outer),
+                              self.r_inner, self.r_outer)
         # a point at the exact origin projects along +x by convention
         v = np.where(rho > 0, v, [1.0, 0.0])
         rho = np.where(rho > 0, rho, 1.0)
-        target = self.r_outer
-        if self.has_inner:
-            target = np.where(np.abs(rho - self.r_inner) <= np.abs(rho - self.r_outer),
-                              self.r_inner, self.r_outer)
         return self.origin + v / rho * target
 
     def _normal(self, pts):

@@ -41,17 +41,25 @@ a jump with probability V(x)/Vbar.  Vbar is V itself when V is constant (every
 ring jumps and no uniform is drawn); otherwise it is 1.05 times the largest V
 on the sample the redistribution sampler bounds mu on, and a lane where V
 exceeds it raises SamplingError.  A block never covers a ring step, so a ring
-happens at its exact step.  Jump targets come from a per-chunk pool of draws
-from mu, refilled with max(n, lanes of the chunk) fresh draws when fewer than
-the n targets needed remain; each draw is used once and independently of the
-paths, so the targets are independent draws from mu.  A lane retires on exit,
-on its first jump in stop-at-first-jump mode, or when t reaches the horizon.
+happens at its exact step: each lane keeps its stop step min(ring - 1, horizon),
+refreshed only where the clock rings; a block runs at most to it, and a lane
+whose stop step is its current step takes its ring step alone.  Jump targets
+come from a per-chunk pool of draws from mu, refilled with max(n, lanes of the
+chunk) fresh draws when fewer than the n targets needed remain; each draw is
+used once and independently of the paths, so the targets are independent
+draws from mu.  A lane retires on exit, on its first jump in
+stop-at-first-jump mode, or when t reaches the horizon.
 
-Paths are simulated in lockstep chunks.  Each chunk owns a counter-based
-random stream derived from (master seed, chunk index), so results are
-bit-identical for a fixed configuration no matter the execution order or
-worker count.  Chunk layout (chunk_size) is part of the configuration:
-changing it reshuffles the randomness exactly like changing the seed.
+Paths are simulated in lockstep chunks.  Within an iteration the events, which
+touch few lanes, work on index arrays rather than on masks over every lane:
+the lanes that ring, jump, exit or cross.  A lane's integer state (step, stop
+step, jump count, path) is one column of a 4-row array, so one take compacts
+it when lanes retire, and the exit points of a chunk are projected onto the
+boundary in one call after its loop.  Each chunk owns a counter-based random
+stream derived from (master seed, chunk index), so results are bit-identical
+for a fixed configuration no matter the execution order or worker count.
+Chunk layout (chunk_size) is part of the configuration: changing it
+reshuffles the randomness exactly like changing the seed.
 """
 from __future__ import annotations
 
@@ -243,6 +251,7 @@ class _Kinetics:
             self.root_diag = diag if np.array_equal(np.diag(diag), self.root_const) else None
         else:
             self.root_const = self.root_diag = None
+        self.unit_root = self.root_diag is not None and bool(np.all(self.root_diag == 1.0))
         self.diffusion = coeffs.diffusion
         self.a00 = coeffs.diffusion.entry(0, 0)
         self.a00_const = self.a00.constant_value()
@@ -259,7 +268,9 @@ class _Kinetics:
         return np.stack([c.eval(x) for c in self.b_comps], axis=1)
 
     def noise(self, x, xi):
-        """sigma(x) @ xi, batched."""
+        """sigma(x) @ xi, batched; ``xi`` itself when sigma is the identity."""
+        if self.unit_root:
+            return xi
         if self.root_diag is not None:
             return xi * self.root_diag
         if self.root_const is not None:
@@ -287,9 +298,13 @@ def _block_steps(r, var, shift):
     r = np.maximum(r, 0.0)
     if shift:
         root = 2.0 * r * r / (2.0 * r * shift + var + np.sqrt(var * var + 4.0 * var * r * shift))
-    else:
-        root = r * r / var
-    return np.clip(root, 1.0, float(NEVER)).astype(np.int64)
+    else:  # r^2 / var, in place
+        root = r
+        root *= r
+        root /= var
+    np.maximum(root, 1.0, out=root)
+    np.minimum(root, float(NEVER), out=root)
+    return root.astype(np.int64)
 
 
 def _crossing_ratio(rng, d0, d1, var):
@@ -345,11 +360,13 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
         pooled += n
         return pool[pooled - n:pooled]
 
-    t = np.zeros(n_lanes, dtype=np.int64)
-    ring = ring_gaps(n_lanes)
+    # a lane's integer state, one row each: the step t, the stop step (the last
+    # step a block may reach), the jump count and the lane's path in the chunk
+    state = np.empty((4, n_lanes), dtype=np.int64)
+    t, stop, jumps, lane = state
+    t[:], jumps[:], lane[:] = 0, 0, np.arange(n_lanes)
+    np.minimum(ring_gaps(n_lanes) - 1, horizon, out=stop)
     dist = domain.signed_distance(x)
-    jumps = np.zeros(n_lanes, dtype=np.int64)
-    lane = np.arange(n_lanes)
 
     out_points = np.empty((n_lanes, d))
     out_times = np.empty(n_lanes)
@@ -373,84 +390,85 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
         block_var = 2 * BRIDGE_EXPONENT_CUTOFF * cfg.delta * kin.a_max * dt
         block_shift = cfg.delta * kin.b_norm * dt
 
-    def exit_steps(mask, wall):
-        """The step at which each lane in ``mask`` crosses its ``wall`` point: the
-        block's end after a single step, else a draw from the bridge's law."""
-        steps = t_new[mask]
+    def exit_steps(ids, wall=None):
+        """The step at which each lane of ``ids`` crosses the boundary at ``wall``
+        (by default the boundary point nearest its block's end): the block's end
+        after a single step, else a draw from the bridge's law."""
+        steps = t[ids]
         if bridge and kin.blocks:
-            k = m[mask]
+            k = m[ids]
             long = k > 1
             if np.count_nonzero(long):
-                k, wall = k[long], wall[long, 0]
-                u = _crossing_ratio(rng, np.abs(x[mask, 0][long] - wall),
-                                    np.abs(xn[mask, 0][long] - wall),
+                k, end = k[long], xn[ids][long]
+                wall = (domain.project_to_boundary(end) if wall is None else wall[long])[:, 0]
+                u = _crossing_ratio(rng, np.abs(x[ids, 0][long] - wall),
+                                    np.abs(end[:, 0] - wall),
                                     cfg.delta * kin.a00_const * dt * k)
                 steps[long] += _crossing_steps(k, u) - k
         return steps
 
-    def retire(mask, points, steps, status):
-        ids = lane[mask]
-        out_points[ids] = points
-        out_times[ids] = steps * dt
-        out_jumps[ids] = jumps[mask]
-        out_status[ids] = status
+    def retire(ids, points, steps, status):
+        """Write out the lanes ``ids`` (positions, or a mask over the live lanes)."""
+        paths = lane[ids]
+        out_points[paths] = points
+        out_times[paths] = steps * dt
+        out_jumps[paths] = jumps[ids]
+        out_status[paths] = status
 
-    # np.count_nonzero tests a mask for any True at a fraction of ndarray.any's
-    # call overhead, which the lockstep tail of few lanes pays on every iteration
+    # Events touch few lanes, so they work on index sets: the lanes that ring
+    # (``rung``), jump, exit or cross.  The lockstep tail of few lanes pays the
+    # overhead of every call on every iteration: np.count_nonzero tests a mask
+    # for any True at a fraction of ndarray.any's, and mask.nonzero()[0] skips
+    # np.flatnonzero's Python wrapper.
     lane_steps = iterations = 0
     while len(x):
         iterations += 1
         lane_steps += len(x)
-        ringing = ring == t + 1  # this lane's next step is a ring of the clock
-        any_ring = np.count_nonzero(ringing) > 0
-        jump = ringing
-        if any_ring and kin.v_const is None:
-            ids = np.flatnonzero(ringing)
-            v = kin.intensity.eval(x[ids])
+        rung = (stop == t).nonzero()[0]  # this lane's next step is a ring of the clock
+        jumped = rung
+        if len(rung) and kin.v_const is None:
+            v = kin.intensity.eval(x[rung])
             if np.max(v) > kin.v_bound:
                 raise SamplingError(
                     f"jump intensity {np.max(v):.4g} exceeds the thinning bound "
                     f"{kin.v_bound:.4g}; the intensity peaks between the sample points")
-            jump = np.zeros(len(x), dtype=bool)
-            jump[ids] = rng.random(len(ids)) * kin.v_bound < v
-        any_jump = any_ring and np.count_nonzero(jump) > 0
+            jumped = rung[rng.random(len(rung)) * kin.v_bound < v]
 
-        # a block stops short of the ring step and of the horizon; a ringing lane
-        # takes its ring step alone
+        # a block runs up to the stop step; a ringing lane takes its ring step alone
         if kin.blocks:
             reach = dist
             if bridge:  # sized against the far end; lanes not inside take single steps
                 reach = np.where(dist > 0, np.maximum(x[:, 0] - xl, xr - x[:, 0]), 0.0)
-            m = np.minimum(_block_steps(reach, block_var, block_shift),
-                           np.minimum(ring - t - 1, horizon - t))
-            np.maximum(m, 1, out=m)
+            m = _block_steps(reach, block_var, block_shift)
+            np.minimum(m, stop - t, out=m)
+            m[rung] = 1
             root_m = np.sqrt(m)
-            m_col, root_col = m[:, None], root_m[:, None]
+            scale, m_col = (sdt * root_m)[:, None], m[:, None]
         else:
-            m = root_m = m_col = root_col = 1
+            m = root_m = m_col = 1
+            scale = sdt
 
-        xi = rng.standard_normal((len(x), d))
-        xn = x + sdt * root_col * kin.noise(x, xi)
+        xn = kin.noise(x, rng.standard_normal((len(x), d)))
+        xn *= scale
+        xn += x
         if not kin.drift_zero:
             xn += cfg.delta * kin.drift_at(x) * dt * m_col
-        t_new = t + m
+        t += m
 
         dist_new = domain.signed_distance(xn)
-        outside = ~(dist_new > 0)
-        if any_jump:
-            outside &= ~jump
+        keep = dist_new > 0  # the lanes that stay live: so far, those inside
+        if len(jumped):
+            keep[jumped] = True  # a jump moves the lane before it can exit
             if stop_on_jump:
-                retire(jump, x[jump], t_new[jump], STATUS_JUMPED)
+                retire(jumped, x[jumped], t[jumped], STATUS_JUMPED)
 
         crossed = None
-        cross_point = None
         if bridge:
             x0col, xn0 = x[:, 0], xn[:, 0]
             tol = near_tol * root_m
             near = ((x0col - xl < tol) | (xr - x0col < tol)
-                    | (xn0 - xl < tol) | (xr - xn0 < tol)) & ~outside
-            if any_jump:
-                near &= ~jump
+                    | (xn0 - xl < tol) | (xr - xn0 < tol)) & keep
+            near[jumped] = False
             if np.count_nonzero(near):
                 nidx = np.flatnonzero(near)
                 xo = x0col[nidx]
@@ -473,41 +491,42 @@ def _simulate_chunk(chunk_index, n_lanes, x0, domain, cfg, sampler, kin, stop_on
                     u = rng.random(int(need_r.sum()))
                     hit[need_r] |= u < np.exp(-expo_r[need_r])
                 if np.count_nonzero(hit):
-                    crossed = np.zeros(len(x), dtype=bool)
-                    crossed[nidx[hit]] = True
+                    crossed = nidx[hit]  # at an end point, which the projection keeps
                     cross_point = np.where(hit_left[hit], xl, xr).reshape(-1, 1)
 
-        any_out = np.count_nonzero(outside) > 0
-        if any_out:
-            wall = domain.project_to_boundary(xn[outside])
-            retire(outside, wall, exit_steps(outside, wall), STATUS_EXIT)
+        # an exit is written out at its block's end, projected after the loop
+        if np.count_nonzero(keep) < len(x):
+            exits = (~keep).nonzero()[0]
+            retire(exits, xn[exits], exit_steps(exits), STATUS_EXIT)
         if crossed is not None:
             retire(crossed, cross_point, exit_steps(crossed, cross_point), STATUS_EXIT)
 
-        if any_jump and not stop_on_jump:
-            landed = targets(np.count_nonzero(jump))
-            xn[jump] = landed
-            dist_new[jump] = domain.signed_distance(landed)
-            jumps[jump] += 1
-        if any_ring:
-            ring[ringing] = t_new[ringing] + ring_gaps(int(ringing.sum()))
+        if len(jumped) and not stop_on_jump:
+            landed = targets(len(jumped))
+            xn[jumped] = landed
+            dist_new[jumped] = domain.signed_distance(landed)
+            jumps[jumped] += 1
+        if len(rung):
+            stop[rung] = np.minimum(t[rung] + ring_gaps(len(rung)) - 1, horizon)
 
-        x, t, dist = xn, t_new, dist_new
-        drop = outside
+        x, dist = xn, dist_new
         if crossed is not None:
-            drop = drop | crossed
-        if stop_on_jump and any_jump:
-            drop = drop | jump
+            keep[crossed] = False
+        if stop_on_jump:
+            keep[jumped] = False
         done = t == horizon
         if np.count_nonzero(done):  # censored at the horizon
-            done &= ~drop
+            done &= keep
             retire(done, x[done], t[done], STATUS_CENSORED)
-            drop = drop | done
-        if np.count_nonzero(drop):
-            keep = np.flatnonzero(~drop)
-            x, t, dist, ring, jumps, lane = (
-                a.take(keep, axis=0) for a in (x, t, dist, ring, jumps, lane))
+            keep &= ~done
+        if np.count_nonzero(keep) < len(x):
+            kept = keep.nonzero()[0]
+            x, dist, state = x.take(kept, axis=0), dist.take(kept), state.take(kept, axis=1)
+            t, stop, jumps, lane = state
 
+    # one projection for the chunk's exits rather than one per iteration with an exit
+    exited = out_status == STATUS_EXIT
+    out_points[exited] = domain.project_to_boundary(out_points[exited])
     return out_points, out_times, out_jumps, out_status, lane_steps, iterations
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumplab import Domain, GeometryError
-from jumplab.geometry import _trapezoid
+from jumplab.geometry import Ring, _trapezoid
 
 ALL_DOMAINS = [
     Domain.interval(0.0, 1.0),
@@ -171,6 +171,62 @@ def test_box_projection_is_bitwise_the_face_search(dom):
     assert dom.project_to_boundary(pts).tobytes() == expected.tobytes()
     for p, e in zip(pts, expected):
         assert dom.project_to_boundary(p[None]).tobytes() == e.tobytes()
+
+
+def _box_distance_by_where(dom, pts):
+    """The corner distance -hypot evaluated on every row and picked by np.where."""
+    sd = None
+    for k, (lo, hi) in enumerate(zip(dom.lo, dom.hi)):
+        g = np.minimum(pts[:, k] - lo, hi - pts[:, k])
+        sd = g if sd is None else np.where((sd < 0) & (g < 0), -np.hypot(sd, g),
+                                           np.minimum(sd, g))
+    return sd
+
+
+@pytest.mark.parametrize("dom", [Domain.interval(0.0, 1.0), Domain.interval(-2.0, 3.5),
+                                 Domain.rectangle(0.0, 0.0, 1.0, 1.0),
+                                 Domain.rectangle(-1.0, 0.5, 2.0, 1.25)], ids=repr)
+def test_box_distance_is_bitwise_the_where_formula(dom):
+    # rows inside, outside one face, outside a corner, on faces and corners, and
+    # at the infinities, alone and in one batch
+    lo, hi = dom.bounding_box
+    values = np.concatenate([lo, hi, (lo + hi) / 2, lo - 0.3, hi + 0.7, lo + 0.25 * (hi - lo),
+                             [np.inf, -np.inf]])
+    grid = np.stack(np.meshgrid(*[values] * dom.dim, indexing="ij"), axis=-1)
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([grid.reshape(-1, dom.dim),
+                          lo - 0.5 + rng.random((500, dom.dim)) * (hi - lo + 1.0)])
+    expected = _box_distance_by_where(dom, pts)
+    if dom.dim == 2:
+        assert np.count_nonzero(((pts < lo) | (pts > hi)).sum(axis=1) == 2) > 0
+    assert dom.signed_distance(pts).tobytes() == expected.tobytes()
+    for p, e in zip(pts, expected):
+        assert np.float64(dom.signed_distance(p[None])[0]).tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("dom", [d for d in ALL_DOMAINS if isinstance(d, Ring)], ids=repr)
+def test_ring_distance_is_the_hypot_formula_within_rounding(dom):
+    # sqrt(dx^2 + dy^2) in place of np.hypot moves rho by a rounding or two, and
+    # the difference with a radius rounds once more on each side
+    rng = np.random.default_rng(4)
+    lo, hi = dom.bounding_box
+    pts = np.concatenate([lo - 0.5 + rng.random((2000, 2)) * (hi - lo + 1.0),
+                          [dom.origin, [dom.origin[0] + dom.r_outer, dom.origin[1]]]])
+    rho = np.hypot(pts[:, 0] - dom.origin[0], pts[:, 1] - dom.origin[1])
+    expected = dom.r_outer - rho
+    if dom.has_inner:
+        expected = np.minimum(rho - dom.r_inner, expected)
+    tol = 2 * np.finfo(float).eps * (rho + dom.r_outer)
+    assert np.all(np.abs(dom.signed_distance(pts) - expected) <= tol)
+
+
+def test_annulus_centre_projects_to_the_inner_circle():
+    # the centre is 0.5 from the inner circle and 1 from the outer one
+    dom = Domain.annulus(0.0, 0.0, 0.5, 1.0)
+    assert np.array_equal(dom.project_to_boundary([0.0, 0.0]), [0.5, 0.0])
+    shifted = Domain.annulus(0.1, 0.2, 0.4, 1.3)
+    assert np.allclose(shifted.project_to_boundary([[0.1, 0.2]]), [[0.5, 0.2]], rtol=0,
+                       atol=1e-15)
 
 
 @pytest.mark.parametrize("dom", ALL_DOMAINS, ids=repr)
