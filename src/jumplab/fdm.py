@@ -679,14 +679,13 @@ def solve_no_jump_prob(delta, coeffs: CoefficientSet, grid: Grid) -> GridFunctio
     return RankOneSolver(assemble_operator(delta, coeffs, grid)).no_jump
 
 
-def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None,
-                          allow_coarse=False) -> GridFunction:
+def solve_exit_functional(delta, coeffs: CoefficientSet, grid: Grid, f=None) -> GridFunction:
     """Expected boundary data at the exit point, via the nonlocal Dirichlet solve.
 
     The redistribution integral couples every interior row to all nodes;
     boundary-node contributions of that integral move to the right-hand side.
     """
-    op = assemble_operator(delta, coeffs, grid, allow_coarse=allow_coarse)
+    op = assemble_operator(delta, coeffs, grid)
     f = coeffs.boundary_data if f is None else f
     fb = f.eval(grid.points[grid.boundary])
     rhs = -op.apply(_on_grid(grid, 0.0, fb).values) - op.v * dot(op.w_boundary, fb)
@@ -706,50 +705,44 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid) -> EigenResu
 
     Homogeneous Dirichlet data: the redistribution row is restricted to
     interior nodes without renormalization (boundary values contribute
-    nothing to the integral of a function vanishing there).  Each iteration
-    reuses the rank-one solve.  The iteration stops once the residual
-    ||M psi - lambda psi|| is at most 1e-10 and lambda moved by at most 1e-12
-    relative (plus the cancellation floor) in one step; 10,000 steps without
-    that raise SolverError.
+    nothing to the integral of a function vanishing there).  A step is one
+    rank-one solve y = (-M)^{-1} psi with ||psi|| = 1, and lambda and the
+    residual are read from it: lambda = 1/(psi . y), the inverse Rayleigh
+    quotient, which does not cancel however small lambda gets, and
+    ||psi - lambda y||/||y||, the residual of the next iterate y/||y||.  The
+    iteration stops once that residual is at most 1e-10 and lambda moved by
+    at most 1e-12 relative in one step; 10,000 steps without that raise
+    SolverError.  ``residual`` is the true ||(-M) psi - lambda0 psi|| of the
+    returned eigenfunction, from one operator product after the loop.
     """
     op = assemble_operator(delta, coeffs, grid)
     solver = RankOneSolver(op)
-    apply_negM = lambda psi: -(op.apply(_on_grid(grid, psi, 0.0).values)
-                               + op.v * dot(op.w_interior, psi))
-
     psi = np.full(len(grid.interior), 1.0 / math.sqrt(len(grid.interior)))
-    # Rayleigh quotients of a tiny eigenvalue carry cancellation noise of
-    # order eps * ||M||; the relative-change test bottoms out there.
-    diagonal = op.stencil[(0,) * len(grid.shape)]
-    noise_floor = 32 * np.finfo(float).eps * float(np.max(np.abs(diagonal)))
-    lam_prev = None
-    lam = None
-    res = math.inf
+    lam_prev = math.inf
     for it in range(1, 10_001):
         y = solver.solve(-psi)          # (-M) y = psi
-        norm = math.sqrt(dot(y, y))
-        if not np.isfinite(norm) or norm == 0.0:
+        norm, psi_y = math.sqrt(dot(y, y)), dot(psi, y)
+        if not np.isfinite(norm) or psi_y == 0.0:
             raise SolverError("inverse iteration produced a degenerate vector")
+        lam = 1.0 / psi_y
+        r = psi - lam * y
+        res = math.sqrt(dot(r, r)) / norm
         psi = y / norm
         if psi.sum() < 0:
             psi = -psi
-        negM_psi = apply_negM(psi)
-        lam = dot(psi, negM_psi)
-        r = negM_psi - lam * psi
-        res = math.sqrt(dot(r, r))
-        if (lam_prev is not None and res <= 1e-10
-                and abs(lam - lam_prev) <= 1e-12 * abs(lam) + noise_floor):
+        if res <= 1e-10 and abs(lam - lam_prev) <= 1e-12 * abs(lam):
             break
         lam_prev = lam
     else:
         raise SolverError(f"inverse power iteration did not converge in 10000 steps "
                           f"(residual {res:.3e})")
     if lam <= 0:
-        raise SolverError(f"nonpositive Rayleigh quotient {lam:.3e}: discretization failure")
+        raise SolverError(f"nonpositive eigenvalue {lam:.3e}: discretization failure")
     if np.min(psi) < -1e-8 * np.max(psi):
         raise SolverError("principal eigenfunction changed sign; discretization failure")
-    return EigenResult(lambda0=lam, eigenfunction=_on_grid(grid, psi, 0.0),
-                       iterations=it, residual=res)
+    phi = _on_grid(grid, psi, 0.0)
+    r = op.apply(phi.values) + op.v * dot(op.w_interior, psi) + lam * psi  # -((-M) psi - lam psi)
+    return EigenResult(lambda0=lam, eigenfunction=phi, iterations=it, residual=math.sqrt(dot(r, r)))
 
 
 @dataclass(frozen=True)

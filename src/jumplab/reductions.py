@@ -8,9 +8,9 @@ saves no time.  ``dot`` sums the elementwise product with ``np.add.reduce``
 count has to be pinned.  Every dense vector reduction goes through it:
 
 - ``fdm``: the rank-one solve and its denominator (the no-jump mass that
-  ``experiments.discrete_no_jump_mass`` reads), the norms and Rayleigh
-  quotient of inverse iteration, and the boundary term of the exit
-  functional;
+  ``experiments.discrete_no_jump_mass`` reads), the norms, inverse Rayleigh
+  quotient and residuals of inverse iteration, and the boundary term of the
+  exit functional;
 - ``theory``: the limit density's mass, the limit exit functional and the
   mu/V integral of the decay-rate prefactor;
 - ``fields.validate_coefficients``: the redistribution mass check;

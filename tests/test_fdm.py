@@ -611,14 +611,25 @@ def _dense_principal_eigenvalue(op):
     return np.min(eigs[np.abs(eigs.imag) < 1e-10].real)
 
 
+def _assert_true_residual(op, res):
+    """``res.residual`` is ||(-M) psi - lambda0 psi||, as the dense matrix gives it."""
+    M = op.A_loc.toarray() + np.outer(op.v, op.w_interior)
+    psi = res.eigenfunction.values[op.grid.interior]
+    dense = np.linalg.norm(-M @ psi - res.lambda0 * psi)
+    tol = 64 * np.finfo(float).eps * np.max(np.abs(M)) * np.linalg.norm(psi)
+    assert abs(res.residual - dense) <= tol
+
+
 def test_principal_eigenvalue_against_dense_spectrum():
     spec = preset("interval-k0-uniform")
     grid = fdm.build_grid(spec.domain, 101)
     delta = 5e-3
     res = fdm.principal_eigenvalue(delta, spec.coeffs, grid)
-    lam_min = _dense_principal_eigenvalue(fdm.assemble_operator(delta, spec.coeffs, grid))
+    op = fdm.assemble_operator(delta, spec.coeffs, grid)
+    lam_min = _dense_principal_eigenvalue(op)
     assert res.lambda0 == pytest.approx(lam_min, rel=1e-8)
     assert res.residual <= 1e-10
+    _assert_true_residual(op, res)
     psi = res.eigenfunction.values[grid.interior]
     assert np.all(psi > 0)
 
@@ -631,10 +642,33 @@ def test_principal_eigenvalue_against_dense_spectrum_2d(name, n, n_angular):
     grid = fdm.build_grid(spec.domain, n, n_angular)
     delta = 5e-2
     res = fdm.principal_eigenvalue(delta, spec.coeffs, grid)
-    lam_min = _dense_principal_eigenvalue(fdm.assemble_operator(delta, spec.coeffs, grid))
+    op = fdm.assemble_operator(delta, spec.coeffs, grid)
+    lam_min = _dense_principal_eigenvalue(op)
     assert res.lambda0 == pytest.approx(lam_min, rel=1e-8)
     assert res.residual <= 1e-10
+    _assert_true_residual(op, res)
     assert np.all(res.eigenfunction.values[grid.interior] > 0)
+
+
+def test_tiny_principal_eigenvalue_is_exact():
+    """At k = 2, delta = 1e-6 lambda0 is about 4e-8 while max|diag A_loc| is about
+    1e3: lambda0 stays within 1e-8 relative of a long-double reference on the same
+    float64 operator, two long-double inverse steps from the returned
+    eigenfunction and the inverse Rayleigh quotient 1/(psi . y) after them,
+    where the Rayleigh quotient psi . (-M) psi misses by more than 1e-6."""
+    spec, delta = preset("interval-k2-quartic"), 1e-6
+    n = fdm.suggest_resolution(spec.domain, delta, spec.coeffs, factor=0.03)
+    grid = fdm.build_grid(spec.domain, n)
+    assert grid.n_nodes == 33_335
+    res = fdm.principal_eigenvalue(delta, spec.coeffs, grid)
+    op = fdm.assemble_operator(delta, spec.coeffs, grid)
+    y = np.asarray(res.eigenfunction.values[grid.interior], np.longdouble)
+    for _ in range(2):
+        psi = y / np.sqrt(np.sum(y * y))
+        y, _ = _thomas_sherman_morrison(op, -psi)  # (-M) y = psi
+    lam_ref = 1 / np.sum(psi * y)
+    assert 1e-8 < lam_ref < 1e-7
+    assert float(abs(res.lambda0 - lam_ref) / lam_ref) <= 1e-8
 
 
 def test_principal_eigenvalue_monotone_in_intensity():
@@ -745,7 +779,7 @@ def test_rectangle_cross_term_assembly_kills_constants():
                        intensity=const(2, 1.0), redistribution=const(2, 1.0),
                        boundary_data=const(2, 1.0), vanishing_order=0)
     grid = fdm.build_grid(dom, 41)
-    phi = fdm.solve_exit_functional(0.05, c, grid, allow_coarse=True)
+    phi = fdm.solve_exit_functional(0.05, c, grid)
     assert np.max(np.abs(phi.values - 1.0)) <= 1e-11
 
 
