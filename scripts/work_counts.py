@@ -22,8 +22,9 @@ local factor of ``solve_no_jump_prob`` included), ``lu_nnz`` (their L+U
 nonzeros summed), ``lu_nnz_max`` (the L+U nonzeros of the largest single
 factor), ``fast_setups`` (``_SeparableSolver`` set-ups: fast diagonalization
 of a 2D operator that separates, and the tridiagonal factor of every 1D
-operator), ``solves`` (local solves with either kind) and
-``eigen_iterations`` (inverse power iterations).
+operator), ``solves`` (local solves with either kind, on node values or on
+mode coefficients, as inverse iteration makes them) and ``eigen_iterations``
+(inverse power iterations).
 
 Start-up: ``setup_scipy_modules``, the ``scipy`` modules this interpreter
 holds after importing jumplab and building the workload, before any
@@ -81,18 +82,18 @@ def main(argv=None):
             counts["lu_nnz"] += self.lu.nnz
             counts["lu_nnz_max"] = max(counts["lu_nnz_max"], self.lu.nnz)
 
-        def solve(self, rhs):
+        def solve_modes(self, rhs):
             counts["solves"] += 1
-            return super().solve(rhs)
+            return super().solve_modes(rhs)
 
     class CountedSeparable(separable):
         def __init__(self, *args):
             super().__init__(*args)
             counts["fast_setups"] += 1
 
-        def solve(self, rhs):
+        def solve_modes(self, rhs):
             counts["solves"] += 1
-            return super().solve(rhs)
+            return super().solve_modes(rhs)
 
     def counted_assemble(*args, **kwargs):
         op = assemble(*args, **kwargs)

@@ -16,7 +16,10 @@ built from it, broadcast per node, only for the sparse LU.
 The redistribution term is a rank-one coupling v w^T (the intensity column
 times the mu-quadrature row); Dirichlet solves and the inverse-power
 eigenvalue iteration reuse one set-up of a local solver for the local part
-A through a rank-one update identity.  The set-up solve is the no-jump
+A through a rank-one update identity.  Each local solver has an orthonormal
+basis of the interior vectors in which it solves: the eigenvectors of its
+axis-1 operator, or the identity.  Inverse iteration runs on coefficients in
+it and transforms only at its two ends.  The set-up solve is the no-jump
 probability u, and the identity's denominator is its mu-mass w . u: the
 rows of delta*G_h sum to zero, so A^{-1} v is u - 1 at the interior nodes.
 That mass is a sum of nonnegative terms and does not cancel as delta -> 0.
@@ -26,9 +29,10 @@ There are two local solvers, and the stencil picks one:
   grid where the stencil holds only the node and its axis neighbours, and
   along axis 1 (y on a box, theta on a polar grid) it is symmetric and the
   same at every index, as with constant coefficients or ones that vary with x
-  or r only.  A is then a Kronecker sum; a solve is a sine or Fourier
-  transform along axis 1 and one tridiagonal solve per mode, and in 1D one
-  tridiagonal solve.  No sparse matrix is formed.
+  or r only.  A is then a Kronecker sum; a solve is an orthonormal sine or
+  real Fourier transform along axis 1, one tridiagonal solve per mode and
+  the transform back, and in 1D one tridiagonal solve.  No sparse matrix is
+  formed.
 - one sparse LU factorization for every other 2D operator: cross terms a12,
   coefficients that vary along axis 1, and drift along it.  It factors the
   unknowns in nested-dissection order, taken from the tensor shape.
@@ -38,9 +42,9 @@ width ~ sqrt(delta a / V), along every axis with Dirichlet ends unless
 overridden.
 
 scipy is imported where a local solver is set up (LAPACK's tridiagonal
-routines; SuperLU and scipy.sparse for the LU), not with this module, so it
-loads at the first FDM set-up: Monte Carlo, theory and problem validation
-never load it.
+routines, scipy.fft in 2D; SuperLU and scipy.sparse for the LU), not with
+this module, so it loads at the first FDM set-up: Monte Carlo, theory and
+problem validation never load it.
 """
 from __future__ import annotations
 
@@ -494,10 +498,22 @@ def assemble_operator(delta, coeffs: CoefficientSet, grid: Grid,
     return DiscreteOperator(grid, float(delta), v, w, stencil)
 
 
-class _LocalSolver:
+class _ModeSolver:
+    """A local solver that works in an orthonormal basis of the interior
+    vectors: ``to_modes`` gives a vector's coefficients in it as a new array,
+    ``solve_modes`` solves A on coefficients (it may overwrite them) and
+    ``from_modes`` goes back.  The basis preserves dot products, so inverse
+    iteration can run on coefficients and transform only at its two ends."""
+
+    def solve(self, rhs):
+        return self.from_modes(self.solve_modes(self.to_modes(rhs)))
+
+
+class _LocalSolver(_ModeSolver):
     """One sparse LU factorization (``lu``) of P A P^T in that column order, A a
     2D operator's local part and P the grid's nested-dissection ``order``.  A
-    solve permutes the right-hand side and the solution."""
+    solve permutes the right-hand side and the solution.  Its basis is the
+    identity."""
 
     def __init__(self, op: DiscreteOperator):
         import scipy.sparse.linalg as spla
@@ -507,7 +523,13 @@ class _LocalSolver:
         except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"sparse LU failed: {err}") from err
 
-    def solve(self, rhs):
+    @staticmethod
+    def to_modes(x):
+        return x
+
+    from_modes = to_modes
+
+    def solve_modes(self, rhs):
         x = np.empty_like(rhs)
         x[self.order] = self.lu.solve(rhs[self.order])
         return x
@@ -519,16 +541,7 @@ class _LocalSolver:
 SEPARABLE_RTOL = 8 * np.finfo(float).eps
 
 
-def _dst1(x):
-    """DST-I along axis 1, sum_l x_l sin(pi k (l + 1) / (m + 1)) for k = 1 .. m,
-    from the real FFT of ``x`` shifted one place into 2 (m + 1) zeros."""
-    m = x.shape[1]
-    padded = np.zeros((len(x), 2 * (m + 1)))
-    padded[:, 1:m + 1] = x
-    return -np.fft.rfft(padded, axis=1)[:, 1:m + 1].imag
-
-
-class _SeparableSolver:
+class _SeparableSolver(_ModeSolver):
     """Fast diagonalization of a local part that separates along axis 1, and the
     tridiagonal solve of a 1D local part, the case with no axis 1.
 
@@ -536,24 +549,32 @@ class _SeparableSolver:
     only axis neighbours, and every coefficient of its stencil must be
     the same at every j, with equal +1 and -1 coefficients c(i) along j.  Then
     A = B (x) I + diag(c) (x) T, with B tridiagonal in i and T the second
-    difference in j: Dirichlet across a box axis, periodic around a ring.  A
-    solve transforms along j into the eigenvectors of T (sines, DST-I, or
-    Fourier modes), makes one tridiagonal solve B + lambda_j diag(c) per mode,
-    and transforms back (Lynch, Rice & Thomas 1964).  In 1D, A = B: one mode,
-    coupling 0, and no transform.  The tridiagonal systems are stacked mode
-    after mode into one, factored once by LAPACK ``gttrf`` (banded LU with
-    partial pivoting).
+    difference in j: Dirichlet across a box axis, periodic around a ring.  The
+    basis is the orthonormal eigenvectors of T along j (Lynch, Rice & Thomas
+    1964): sines on a box, the orthonormal DST-I, which is its own inverse, and
+    around a ring the real and imaginary parts of the orthonormal real FFT, the
+    paired modes 0 < k < m1/2 weighed by sqrt(2).  In it A is one tridiagonal
+    system B + lambda_k diag(c) per mode, stacked mode after mode into one and
+    factored once by LAPACK ``gttrf`` (banded LU with partial pivoting).  In 1D,
+    A = B: one mode, coupling 0, and the identity basis.  scipy.fft is imported
+    by a 2D set-up only.
     """
 
     def __init__(self, shape, periodic, lower, middle, upper, coupling):
         from scipy.linalg import lapack
         self.shape, self.periodic = shape, periodic
         m0, m1 = shape[0], math.prod(shape[1:])
+        if len(shape) > 1:
+            import scipy.fft
+            self.fft = scipy.fft
         # in 1D (coupling 0) the one sine mode's lambda adds -0.0: A = B bit for bit
-        if periodic:  # real Fourier modes j = 0 .. m1/2, real and imaginary parts
-            lam = -4 * np.sin(math.pi * np.arange(m1 // 2 + 1) / m1) ** 2
-        else:  # sines j = 1 .. m1
+        if periodic:  # real Fourier modes k = 0 .. m1/2, real and imaginary parts
+            k = np.arange(m1 // 2 + 1)
+            lam = -4 * np.sin(math.pi * k / m1) ** 2
+            self.weight = np.where((k > 0) & (2 * k < m1), math.sqrt(2), 1.0)
+        else:  # sines k = 1 .. m1
             lam = -4 * np.sin(math.pi * np.arange(1, m1 + 1) / (2 * (m1 + 1))) ** 2
+        self.size = len(lam) * m0  # rows of the stacked system
         bands = np.zeros((2, len(lam), m0))  # sub- and superdiagonal, 0 between modes
         bands[0, :, :-1], bands[1, :, :-1] = lower[1:], upper[:-1]
         # scipy's gttrf and gttrs take no system under 3 rows: decoupled rows of 1 fill it up
@@ -587,27 +608,40 @@ class _SeparableSolver:
             return None
         return cls((m0, m1), grid.periodic[1], lower, middle + 2 * c, upper, c)
 
-    def _stacked_solve(self, b):
-        """The stacked systems solved for the rows of ``b`` (k x n), which it may overwrite."""
-        padded = np.pad(b, ((0, 0), (0, self.pad))) if self.pad else b
-        return self.gttrs(*self.factors, padded.T, overwrite_b=1)[0].T[:, :b.shape[1]]
-
-    def solve(self, rhs):
+    def to_modes(self, x):
+        """Mode after mode, the m0 coefficients of each along axis 0; around a ring
+        the real parts of every mode, then the imaginary ones (0 at k = 0 and
+        k = m1/2, which have none)."""
         if len(self.shape) == 1:
-            return self._stacked_solve(np.array(rhs, ndmin=2))[0]
+            return np.array(x)
         m0, m1 = self.shape
-        x = rhs.reshape(m0, m1)
-        if self.periodic:
-            f = np.fft.rfft(x, axis=1).T
-            modes = np.stack([f.real, f.imag])
-        else:
-            modes = np.ascontiguousarray(_dst1(x).T)[None]
-        y = self._stacked_solve(modes.reshape(len(modes), -1)).reshape(modes.shape)
-        if self.periodic:
-            x = np.fft.irfft((y[0] + 1j * y[1]).T, n=m1, axis=1)
-        else:
-            x = _dst1(y[0].T) * (2 / (m1 + 1))
-        return x.ravel()
+        x = x.reshape(m0, m1).T
+        if not self.periodic:
+            return self.fft.dst(x, type=1, axis=0, norm="ortho").ravel()
+        f = self.fft.rfft(x, axis=0, norm="ortho")
+        modes = np.empty((2, *f.shape))
+        np.multiply(f.real, self.weight[:, None], out=modes[0])
+        np.multiply(f.imag, self.weight[:, None], out=modes[1])
+        return modes.ravel()
+
+    def from_modes(self, y):
+        if len(self.shape) == 1:
+            return y
+        m0, m1 = self.shape
+        if not self.periodic:
+            return self.fft.dst(y.reshape(m1, m0).T, type=1, axis=1, norm="ortho").ravel()
+        real, imag = y.reshape(2, -1, m0)
+        f = np.empty((m0, len(real)), complex)
+        np.divide(real.T, self.weight, out=f.real)
+        np.divide(imag.T, self.weight, out=f.imag)
+        return self.fft.irfft(f, n=m1, axis=1, norm="ortho", overwrite_x=True).ravel()
+
+    def solve_modes(self, b):
+        """The stacked system solved for the box's coefficients, or for a ring's real
+        and for its imaginary parts; it may overwrite ``b``."""
+        b = b.reshape(-1, self.size)
+        padded = np.pad(b, ((0, 0), (0, self.pad))) if self.pad else b
+        return self.gttrs(*self.factors, padded.T, overwrite_b=1)[0].T[:, :self.size].ravel()
 
 
 class RankOneSolver:
@@ -621,7 +655,8 @@ class RankOneSolver:
     mu-mass of the no-jump probability (w sums to 1): a sum of nonnegative
     terms, kept positive by the discrete maximum principle (u > 0), with no
     cancellation however small it gets.  One more local solve per right-hand
-    side.
+    side.  ``solve_modes`` makes the same step on coefficients in the local
+    solver's basis, with z and w transformed once, on its first call.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -637,6 +672,19 @@ class RankOneSolver:
     def solve(self, rhs):
         y = self.local.solve(rhs)
         return y - self.z * (dot(self.w, y) / self.denom)
+
+    @functools.cached_property
+    def z_modes(self):
+        return self.local.to_modes(self.z)
+
+    @functools.cached_property
+    def w_modes(self):
+        return self.local.to_modes(self.w)
+
+    def solve_modes(self, rhs):
+        """``solve`` on mode coefficients; it may overwrite ``rhs``."""
+        y = self.local.solve_modes(rhs)
+        return y - self.z_modes * (dot(self.w_modes, y) / self.denom)
 
 
 @dataclass
@@ -705,22 +753,29 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid) -> EigenResu
 
     Homogeneous Dirichlet data: the redistribution row is restricted to
     interior nodes without renormalization (boundary values contribute
-    nothing to the integral of a function vanishing there).  A step is one
-    rank-one solve y = (-M)^{-1} psi with ||psi|| = 1, and lambda and the
-    residual are read from it: lambda = 1/(psi . y), the inverse Rayleigh
-    quotient, which does not cancel however small lambda gets, and
-    ||psi - lambda y||/||y||, the residual of the next iterate y/||y||.  The
-    iteration stops once that residual is at most 1e-10 and lambda moved by
-    at most 1e-12 relative in one step; 10,000 steps without that raise
-    SolverError.  ``residual`` is the true ||(-M) psi - lambda0 psi|| of the
-    returned eigenfunction, from one operator product after the loop.
+    nothing to the integral of a function vanishing there).  The iteration
+    runs on coefficients in the local solver's orthonormal basis (see
+    ``_ModeSolver``), so a step is one stacked solve and no transform.  It
+    starts from the set-up's no-jump deficit 1 - q = -z, which is (-M)^{-1} 1
+    up to a factor when V is constant.  A step is one rank-one solve
+    y = (-M)^{-1} psi with ||psi|| = 1, and lambda and the residual are read
+    from it: lambda = 1/(psi . y), the inverse Rayleigh quotient, which does
+    not cancel however small lambda gets, and ||psi - lambda y||/||y||, the
+    residual of the next iterate y/||y||.  The iteration stops once that
+    residual is at most 1e-10 and lambda moved by at most 1e-12 relative in
+    one step; 10,000 steps without that raise SolverError.  (-M)^{-1} is
+    nonnegative (Sherman-Morrison with w . u > 0), so from a positive start
+    every iterate stays positive; the sign and positivity checks and
+    ``residual``, the true ||(-M) psi - lambda0 psi|| of the returned
+    eigenfunction, are taken on the nodes after the loop.
     """
     op = assemble_operator(delta, coeffs, grid)
     solver = RankOneSolver(op)
-    psi = np.full(len(grid.interior), 1.0 / math.sqrt(len(grid.interior)))
+    psi = -solver.z_modes
+    psi = psi / math.sqrt(dot(psi, psi))
     lam_prev = math.inf
     for it in range(1, 10_001):
-        y = solver.solve(-psi)          # (-M) y = psi
+        y = solver.solve_modes(-psi)    # (-M) y = psi
         norm, psi_y = math.sqrt(dot(y, y)), dot(psi, y)
         if not np.isfinite(norm) or psi_y == 0.0:
             raise SolverError("inverse iteration produced a degenerate vector")
@@ -728,14 +783,15 @@ def principal_eigenvalue(delta, coeffs: CoefficientSet, grid: Grid) -> EigenResu
         r = psi - lam * y
         res = math.sqrt(dot(r, r)) / norm
         psi = y / norm
-        if psi.sum() < 0:
-            psi = -psi
         if res <= 1e-10 and abs(lam - lam_prev) <= 1e-12 * abs(lam):
             break
         lam_prev = lam
     else:
         raise SolverError(f"inverse power iteration did not converge in 10000 steps "
                           f"(residual {res:.3e})")
+    psi = solver.local.from_modes(psi)
+    if psi.sum() < 0:
+        psi = -psi
     if lam <= 0:
         raise SolverError(f"nonpositive eigenvalue {lam:.3e}: discretization failure")
     if np.min(psi) < -1e-8 * np.max(psi):

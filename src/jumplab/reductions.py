@@ -7,9 +7,10 @@ saves no time.  ``dot`` sums the elementwise product with ``np.add.reduce``
 (pairwise summation), so it never wakes the BLAS thread pool, and no thread
 count has to be pinned.  Every dense vector reduction goes through it:
 
-- ``fdm``: the rank-one solve and its denominator (the no-jump mass that
-  ``experiments.discrete_no_jump_mass`` reads), the norms, inverse Rayleigh
-  quotient and residuals of inverse iteration, and the boundary term of the
+- ``fdm``: the rank-one solve, on node values and on mode coefficients, and
+  its denominator (the no-jump mass that ``experiments.discrete_no_jump_mass``
+  reads), the norms, inverse Rayleigh quotient and residuals of inverse
+  iteration, which runs on mode coefficients, and the boundary term of the
   exit functional;
 - ``theory``: the limit density's mass, the limit exit functional and the
   mu/V integral of the decay-rate prefactor;
@@ -23,5 +24,6 @@ import numpy as np
 
 
 def dot(x, y):
-    """x . y as a float, summed by ``np.add.reduce`` rather than BLAS."""
-    return float(np.add.reduce(x * y))
+    """x . y as a float, the sum over every element of the elementwise product
+    (arrays of any shape), by ``np.add.reduce`` rather than BLAS."""
+    return float(np.add.reduce(x * y, axis=None))

@@ -12,6 +12,7 @@ import scipy.sparse.linalg
 from jumplab import (CoefficientSet, Domain, MatrixField, PolyField, SolverError,
                      ValidationError, VectorField, const, apply_generator, preset)
 from jumplab import experiments, fdm
+from jumplab.reductions import dot
 
 
 def coeffs_1d(a=None, b=None, V=None, mu=None, k=0):
@@ -341,11 +342,11 @@ def _coeffs_2d(a11=None, V=None, b=(0.0, 0.0)):
 def _solver_case(case):
     """(coeffs, grid, delta) of an operator; the ``separable-`` ones separate along axis 1."""
     x = lambda c: PolyField.from_dict(2, {(0, 0): 1.0, (1, 0): c})
-    if case in ("separable-square", "separable-disk", "separable-annulus"):
+    if case in ("separable-square", "separable-disk", "separable-annulus", "separable-disk-33"):
         name = {"square": "square-k0-uniform", "disk": "disk-k0-radial",
                 "annulus": "annulus-flux"}[case.split("-")[1]]
         spec = preset(name)
-        return spec.coeffs, fdm.build_grid(spec.domain, 41, 32), 0.05
+        return spec.coeffs, fdm.build_grid(spec.domain, 41, 33 if case.endswith("33") else 32), 0.05
     if case in FDM_2D_COPIES:  # the fdm-2d benchmark presets at its delta, on smaller grids
         spec = preset(case.removeprefix("fdm-2d-"))
         n, n_angular = {"square-k0-uniform": (81, None), "disk-k0-radial": (81, 64),
@@ -389,14 +390,15 @@ def _rank_one_problem(case):
 
 
 FDM_2D_COPIES = ["fdm-2d-square-k0-uniform", "fdm-2d-disk-k0-radial", "fdm-2d-annulus-flux"]
-ALL_CASES = ["separable-square", "separable-disk", "separable-annulus",
+ALL_CASES = ["separable-square", "separable-disk", "separable-disk-33", "separable-annulus",
              "separable-annulus-radial-V", "separable-rectangle-V-of-x", "rectangle-a12",
              "disk-V-of-x", "square-drift-y", "disk-drift", "interval", "interval-drift"]
 
 
 @pytest.mark.parametrize("order", ["nested-dissection", "sorted"])
-@pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-annulus",
-                                  "separable-annulus-radial-V", "separable-rectangle-V-of-x"])
+@pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-disk-33",
+                                  "separable-annulus", "separable-annulus-radial-V",
+                                  "separable-rectangle-V-of-x"])
 def test_separable_solver_matches_lu(case, order, monkeypatch):
     """Against the sparse LU in nested-dissection order and in the sorted
     (row-major) order of the unknowns."""
@@ -596,13 +598,49 @@ def test_singular_separable_factor_is_a_solver_error():
         fdm._SeparableSolver.of(zero)
 
 
+def _basis_solver(basis, m):
+    """A separable solver whose axis 1 has m interior nodes: a box, a ring, or in
+    1D m unknowns and no axis 1."""
+    if basis == "1d":
+        ones = np.ones(m)
+        return fdm._SeparableSolver((m,), False, ones, -3 * ones, ones, 0.0)
+    ones = np.ones(3)
+    return fdm._SeparableSolver((3, m), basis == "ring", ones, -6 * ones, ones, ones)
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 32])
-def test_dst1_is_the_sine_transform(m):
+def test_box_modes_are_the_orthonormal_sine_transform(m):
     x = np.random.default_rng(m).normal(size=(3, m))
     k, l = np.meshgrid(np.arange(1, m + 1), np.arange(m), indexing="ij")
-    exact = x @ np.sin(math.pi * k * (l + 1) / (m + 1)).T
-    assert np.allclose(fdm._dst1(x), exact, rtol=0, atol=1e-13 * m)
-    assert np.allclose(fdm._dst1(fdm._dst1(x)) * 2 / (m + 1), x, rtol=0, atol=1e-13 * m)
+    exact = x @ np.sin(math.pi * k * (l + 1) / (m + 1)).T * math.sqrt(2 / (m + 1))
+    modes = _basis_solver("box", m).to_modes(x.ravel()).reshape(m, 3).T  # mode after mode
+    assert np.allclose(modes, exact, rtol=0, atol=1e-13 * m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 32])
+@pytest.mark.parametrize("basis", ["box", "ring", "1d"])
+def test_modes_are_an_orthonormal_basis(basis, m):
+    """``from_modes`` inverts ``to_modes`` and dot products are kept: on a box,
+    around rings of odd (1, 7) and even (2, 32) angular counts, and in 1D, where
+    the basis is the identity and ``to_modes`` copies."""
+    solver = _basis_solver(basis, m)
+    x, y = np.random.default_rng(m).normal(size=(2, math.prod(solver.shape)))
+    mx, my = solver.to_modes(x), solver.to_modes(y)
+    assert np.allclose(solver.from_modes(mx), x, rtol=0, atol=1e-13 * m)
+    assert abs(dot(mx, my) - dot(x, y)) <= 1e-13 * m
+    assert abs(dot(mx, mx) - dot(x, x)) <= 1e-13 * m
+    if basis == "1d":
+        assert mx is not x and np.array_equal(solver.from_modes(mx), x)
+
+
+@pytest.mark.parametrize("case", ["separable-square", "separable-disk", "separable-disk-33",
+                                  "interval", "rectangle-a12"])
+def test_rank_one_solve_in_modes_matches_the_node_solve(case):
+    op, rhs = _rank_one_problem(case)
+    solver = fdm.RankOneSolver(op)
+    x = solver.solve(rhs)
+    y = solver.local.from_modes(solver.solve_modes(solver.local.to_modes(rhs)))
+    assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 def _dense_principal_eigenvalue(op):
@@ -635,9 +673,10 @@ def test_principal_eigenvalue_against_dense_spectrum():
 
 
 @pytest.mark.parametrize("name,n,n_angular", [
-    ("square-k0-uniform", 21, None), ("disk-k0-radial", 16, 16)])
+    ("square-k0-uniform", 21, None), ("disk-k0-radial", 16, 16), ("annulus-flux", 16, 15)])
 def test_principal_eigenvalue_against_dense_spectrum_2d(name, n, n_angular):
-    # the disk's angular axis is periodic: its factor includes the wrap-around entries
+    # the polar angular axis is periodic: its factor includes the wrap-around
+    # entries, and an odd count has no mode k = m1/2
     spec = preset(name)
     grid = fdm.build_grid(spec.domain, n, n_angular)
     delta = 5e-2
@@ -871,6 +910,25 @@ def test_eigen_sweep_keeps_to_one_core():
     spec = preset("interval-k0-uniform")
     run = lambda: experiments.run_eigenvalue_scaling_experiment(
         spec, (10**-2.5, 1e-3, 10**-3.5), grid_factor=0.04)
+    run()
+    wall, cpu, own = time.perf_counter(), time.process_time(), time.thread_time()
+    while time.perf_counter() - wall < 0.5:
+        run()
+    wall, cpu, own = (time.perf_counter() - wall, time.process_time() - cpu,
+                      time.thread_time() - own)
+    assert cpu / wall <= 1.3
+    assert (cpu - own) / wall <= 0.3
+
+
+@pytest.mark.skipif((CPUS or 1) < 2, reason="needs 2 CPUs to see a spinning thread")
+def test_2d_eigen_solve_keeps_to_one_core():
+    # The 2D twin of the sweep above: a separable eigen solve on 159 x 159 =
+    # 25,281 unknowns, whose transforms and stacked solves must not reach BLAS.
+    spec = preset("square-k0-uniform")
+    grid = fdm.build_grid(spec.domain, 161)
+    run = lambda: fdm.principal_eigenvalue(3e-3, spec.coeffs, grid)
+    assert isinstance(fdm.RankOneSolver(fdm.assemble_operator(3e-3, spec.coeffs, grid)).local,
+                      fdm._SeparableSolver)
     run()
     wall, cpu, own = time.perf_counter(), time.process_time(), time.thread_time()
     while time.perf_counter() - wall < 0.5:
